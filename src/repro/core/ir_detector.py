@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, FrozenSet, Iterable, List, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Tuple
 
-from repro.core.rdfg import RDFGNode, kill, select
+from repro.core.rdfg import BR, SV, TraceGraph, kill
 from repro.core.removal import RemovalKind
-from repro.core.rename_table import Entry, OperandRenameTable
-from repro.isa.instructions import InstrClass
+from repro.core.rename_table import OperandRenameTable
+from repro.isa.instructions import InstrClass, Instruction
 from repro.trace.selection import CompletedTrace
 from repro.trace.trace_id import TraceId
 
@@ -57,6 +57,17 @@ _MEM_BASE = 1 << 32
 #: HALT terminates the program.
 _NEVER_REMOVABLE = (InstrClass.JUMP_INDIRECT, InstrClass.OUT, InstrClass.HALT)
 
+#: Kind bits -> ``RemovalKind``, for every combination of the four bits.
+_KINDS = tuple(RemovalKind(bits) for bits in range(16))
+
+
+def _static_record(instr: Instruction) -> Tuple[Tuple[int, ...], bool, bool, bool, bool]:
+    """What the detector needs of one static instruction: its source
+    registers without r0, whether it loads, stores or branches, and
+    whether it may ever be removed."""
+    return (tuple(reg for reg in instr.srcs if reg), instr.is_load,
+            instr.is_store, instr.is_branch, instr.klass not in _NEVER_REMOVABLE)
+
 
 @dataclass
 class TraceAnalysis:
@@ -74,13 +85,16 @@ class TraceAnalysis:
         return sum(self.ir_vec)
 
 
-class _ScopedTrace:
-    __slots__ = ("seq", "trace_id", "nodes", "touched", "pcs")
+class _ScopedTrace(TraceGraph):
+    """A trace in the analysis scope: its R-DFG plus what the analysis
+    reports and what leaving the scope invalidates."""
 
-    def __init__(self, seq: int, trace_id: TraceId, nodes: List[RDFGNode]):
-        self.seq = seq
+    __slots__ = ("trace_id", "touched", "pcs")
+
+    def __init__(self, seq: int, trace_id: TraceId, size: int):
+        super().__init__(seq, size)
         self.trace_id = trace_id
-        self.nodes = nodes
+        #: Operands written by the trace (rename entries it may own).
         self.touched: List[int] = []
         self.pcs: List[int] = []
 
@@ -101,6 +115,9 @@ class IRDetector:
         if unknown:
             raise ValueError(f"unknown triggers: {sorted(unknown)}")
         self._table = OperandRenameTable()
+        #: PC -> :func:`_static_record` of the instruction there, resolved
+        #: on first retirement (a detector watches one program's text).
+        self._static: Dict[int, tuple] = {}
         self._scope: Deque[_ScopedTrace] = deque()
         self._next_seq = 0
         #: Observability tallies (:mod:`repro.obs`): retired analyses
@@ -118,72 +135,74 @@ class IRDetector:
         """Merge one retired trace; returns analyses of traces that left
         the scope as a result (usually zero or one).
 
-        The per-instruction merge logic (formerly ``_merge``/``_write``
-        helpers) is inlined with hoisted locals: this loop runs once per
-        retired R-stream instruction and dominated the detector's
-        profile as method calls.
+        The per-instruction merge is inlined with hoisted locals: this
+        loop runs once per retired R-stream instruction.  It reads and
+        writes the rename table's entry lists directly, with the same
+        semantics as :meth:`OperandRenameTable.read`/``write``, which
+        define the protocol and the entry layout
+        ``[value, trace, index, ref, last_write_seq]``.
         """
         seq = self._next_seq
         self._next_seq += 1
-        scoped = _ScopedTrace(seq, trace.trace_id, [])
+        instructions = trace.instructions
+        scoped = _ScopedTrace(seq, trace.trace_id, len(instructions))
         self._scope.append(scoped)
-        nodes_append = scoped.nodes.append
         pcs_append = scoped.pcs.append
         touched_append = scoped.touched.append
-        # The rename-table read/write protocol is inlined against the
-        # entry dict (same semantics as OperandRenameTable.read/write,
-        # which documents it): per-operand method calls and
-        # WriteOutcome allocations dominated this loop's profile.
+        kinds = scoped.kinds
+        removable = scoped.removable
+        consumers = scoped.consumers
+        producers = scoped.producers
         entries = self._table._entries
         entries_get = entries.get
-        entry_cls = Entry
+        static = self._static
+        static_get = static.get
         br_trigger = self._br_trigger
         ww_trigger = self._ww_trigger
         sv_trigger = self._sv_trigger
-        node_cls = RDFGNode
-        never = _NEVER_REMOVABLE
-        br_kind = RemovalKind.BR
-        sv_kind = RemovalKind.SV
         mem_base = _MEM_BASE
-        index = 0
-        for dyn in trace.instructions:
-            instr = dyn.instr
-            node = node_cls(seq, index, removable=instr.klass not in never)
-            index += 1
-            nodes_append(node)
-            pcs_append(dyn.pc)
+        for index, dyn in enumerate(instructions):
+            pc = dyn.pc
+            pcs_append(pc)
+            record = static_get(pc)
+            if record is None:
+                record = static[pc] = _static_record(dyn.instr)
+            srcs, is_load, is_store, is_branch, may_remove = record
+            if not may_remove:
+                removable[index] = False
             mem_addr = dyn.mem_addr
-            # Source operands: establish producer connections and ref
-            # bits (``connect`` inlined: same-trace edges only, else an
-            # external reference disqualifying back-propagation).
-            for reg in instr.srcs:
-                if reg:
-                    entry = entries_get(reg)
-                    if entry is not None:
-                        entry.ref = True
-                        producer = entry.producer
-                        if producer.trace_seq == seq:
-                            producer.consumers.append(node)
-                            node.producers.append(producer)
-                        else:
-                            producer.external_ref = True
-            if instr.is_load and mem_addr is not None:
+            # Source operands: same-trace producers gain an edge, others
+            # an external reference disqualifying back-propagation.
+            for reg in srcs:
+                entry = entries_get(reg)
+                if entry is not None:
+                    entry[3] = True
+                    if entry[1] is scoped:
+                        producer = entry[2]
+                        consumers[producer].append(index)
+                        producers[index].append(producer)
+                    else:
+                        entry[1].external_ref[entry[2]] = True
+            if is_load and mem_addr is not None:
                 entry = entries_get(mem_addr + mem_base)
                 if entry is not None:
-                    entry.ref = True
-                    producer = entry.producer
-                    if producer.trace_seq == seq:
-                        producer.consumers.append(node)
-                        node.producers.append(producer)
+                    entry[3] = True
+                    if entry[1] is scoped:
+                        producer = entry[2]
+                        consumers[producer].append(index)
+                        producers[index].append(producer)
                     else:
-                        producer.external_ref = True
+                        entry[1].external_ref[entry[2]] = True
 
             # Trigger: branch instructions are always selected at merge.
-            if br_trigger and instr.is_branch:
-                select(node, br_kind)
+            # A merging node's producers are all live (none is killed
+            # yet), so a trigger at merge cannot cascade and sets the
+            # kind without ``select``.
+            if is_branch and br_trigger:
+                kinds[index] = BR
 
             # Destination operand: SV/WW detection and value kills.
-            if instr.is_store and mem_addr is not None:
+            if is_store and mem_addr is not None:
                 operand = mem_addr + mem_base
             elif dyn.dest_reg is not None and dyn.value is not None:
                 operand = dyn.dest_reg
@@ -191,20 +210,17 @@ class IRDetector:
                 continue
             value = dyn.value
             entry = entries_get(operand)
-            if entry is not None:
-                if sv_trigger and entry.value == value:
-                    # Non-modifying write: select; the old producer
-                    # remains the live producer of the location (but the
-                    # write refreshes the entry's scope lifetime).
-                    entry.last_write_seq = seq
-                    select(node, sv_kind)
-                else:
-                    killed = entry.producer
-                    unreferenced = not entry.ref
-                    entries[operand] = entry_cls(value, node)
-                    kill(killed, unreferenced and ww_trigger)
+            if entry is None:
+                entries[operand] = [value, scoped, index, False, seq]
+            elif sv_trigger and entry[0] == value:
+                # Non-modifying write: select; the old producer stays
+                # live, but the write refreshes the entry's lifetime.
+                entry[4] = seq
+                if may_remove:
+                    kinds[index] = SV
             else:
-                entries[operand] = entry_cls(value, node)
+                entries[operand] = [value, scoped, index, False, seq]
+                kill(entry[1], entry[2], ww_trigger and not entry[3])
             touched_append(operand)
         retired: List[TraceAnalysis] = []
         while len(self._scope) > self.scope_traces:
@@ -222,12 +238,19 @@ class IRDetector:
 
     def _retire_oldest(self) -> TraceAnalysis:
         scoped = self._scope.popleft()
+        # OperandRenameTable.invalidate_if_stale, inlined.
+        seq = scoped.seq
+        entries = self._table._entries
+        entries_get = entries.get
         for operand in scoped.touched:
-            self._table.invalidate_if_stale(operand, scoped.seq)
-        ir_vec = tuple(n.selected for n in scoped.nodes)
-        kinds = tuple(n.kind for n in scoped.nodes)
+            entry = entries_get(operand)
+            if entry is not None and entry[4] == seq:
+                del entries[operand]
+        bits = scoped.kinds
+        kinds = tuple(map(_KINDS.__getitem__, bits))
+        ir_vec = tuple(map(bool, bits))
         self.analyses += 1
-        self.selected_total += sum(ir_vec)
+        self.selected_total += len(bits) - bits.count(0)
         return TraceAnalysis(scoped.seq, scoped.trace_id, ir_vec, kinds,
                              tuple(scoped.pcs))
 

@@ -7,16 +7,25 @@ connection is made"); consumption from another trace merely marks the
 producer as externally referenced, which disqualifies it from
 back-propagated removal.
 
+The graph is integer-coded: a :class:`TraceGraph` holds one parallel
+list per node attribute, a node is its index in the trace, and a kind is
+a plain int over the bits :data:`BR`, :data:`WW`, :data:`SV` and
+:data:`P` (the values of the matching :class:`RemovalKind` flags; 0
+means unselected).  Kinds become ``RemovalKind`` only when the detector
+emits a trace's analysis.
+
 Selection rules:
 
 * a node is selected directly by a trigger (BR at merge, SV at merge,
   WW at kill);
 * a killed, unselected node with at least one consumer, all consumers
   in the same trace and all selected, is selected with
-  ``PROPAGATED | union(consumer base flags)``.
+  ``P | union(consumer base bits)``.
 
 Selection cascades: selecting a node may complete the conditions for
-its producers.
+its producers.  A node's propagated kind depends only on its consumers'
+kinds, which never change once set, so the cascade reaches the same
+fixpoint in any order; :func:`select` walks it with a worklist.
 """
 
 from __future__ import annotations
@@ -25,84 +34,95 @@ from typing import List
 
 from repro.core.removal import RemovalKind
 
-_BASE_FLAGS = RemovalKind.BR | RemovalKind.WW | RemovalKind.SV
+BR = int(RemovalKind.BR)
+WW = int(RemovalKind.WW)
+SV = int(RemovalKind.SV)
+P = int(RemovalKind.PROPAGATED)
+_BASE = BR | WW | SV
 
 
-class RDFGNode:
-    """One instruction in a trace's R-DFG."""
+class TraceGraph:
+    """The R-DFG of one trace: parallel per-node lists, indexed by the
+    node's position in the trace."""
 
-    __slots__ = (
-        "trace_seq",
-        "index",
-        "producers",
-        "consumers",
-        "killed",
-        "selected",
-        "kind",
-        "external_ref",
-        "removable",
-    )
+    __slots__ = ("seq", "kinds", "killed", "external_ref", "removable",
+                 "consumers", "producers")
 
-    def __init__(self, trace_seq: int, index: int, removable: bool = True):
-        self.trace_seq = trace_seq
-        self.index = index
-        self.producers: List["RDFGNode"] = []
-        self.consumers: List["RDFGNode"] = []
-        self.killed = False
-        self.selected = False
-        self.kind = RemovalKind.NONE
-        self.external_ref = False
-        #: Instructions that must never be removed (indirect jumps,
-        #: program output, halt) regardless of dataflow.
-        self.removable = removable
+    def __init__(self, seq: int, size: int) -> None:
+        self.seq = seq
+        #: Selection kind bits; 0 while unselected.
+        self.kinds: List[int] = [0] * size
+        #: The node's value has been overwritten: all consumers are known.
+        self.killed: List[bool] = [False] * size
+        #: A later trace consumed the node's value.
+        self.external_ref: List[bool] = [False] * size
+        #: False for instructions that must never be removed (indirect
+        #: jumps, program output, halt) regardless of dataflow.
+        self.removable: List[bool] = [True] * size
+        #: Same-trace dataflow edges, as node indices.
+        self.consumers: List[List[int]] = [[] for _ in range(size)]
+        self.producers: List[List[int]] = [[] for _ in range(size)]
 
-
-def connect(producer: RDFGNode, consumer: RDFGNode) -> None:
-    """Record a dependence; same-trace edges only, else external ref."""
-    if producer.trace_seq == consumer.trace_seq:
-        producer.consumers.append(consumer)
-        consumer.producers.append(producer)
-    else:
-        producer.external_ref = True
+    def connect(self, producer: int, consumer: int) -> None:
+        """Record a same-trace dependence."""
+        self.consumers[producer].append(consumer)
+        self.producers[consumer].append(producer)
 
 
-def select(node: RDFGNode, kind: RemovalKind) -> bool:
+def select(graph: TraceGraph, index: int, kind: int) -> bool:
     """Select a node for removal; cascades to its producers.
 
     Returns True if the node was newly selected.
     """
-    if node.selected or not node.removable:
+    kinds = graph.kinds
+    if kinds[index] or not graph.removable[index]:
         return False
-    node.selected = True
-    node.kind = kind
-    for producer in node.producers:
-        try_propagate(producer)
+    kinds[index] = kind
+    producers = graph.producers
+    pending = list(producers[index])
+    while pending:
+        node = pending.pop()
+        inherited = _propagated_kind(graph, node)
+        if inherited:
+            kinds[node] = inherited
+            pending.extend(producers[node])
     return True
 
 
-def kill(node: RDFGNode, unreferenced: bool) -> None:
+def kill(graph: TraceGraph, index: int, unreferenced: bool) -> None:
     """The node's value has been overwritten; all consumers are known.
 
     An unreferenced kill is the WW trigger; otherwise the node may now
     satisfy the back-propagation condition.
     """
-    node.killed = True
-    if unreferenced and not node.selected:
-        select(node, RemovalKind.WW)
+    graph.killed[index] = True
+    if unreferenced and not graph.kinds[index]:
+        select(graph, index, WW)
     else:
-        try_propagate(node)
+        try_propagate(graph, index)
 
 
-def try_propagate(node: RDFGNode) -> None:
+def try_propagate(graph: TraceGraph, index: int) -> None:
     """Select the node if killed, unselected, and all consumers (same
     trace, at least one) are selected."""
-    if node.selected or not node.killed or node.external_ref or not node.removable:
-        return
-    if not node.consumers:
-        return
-    inherited = RemovalKind.NONE
-    for consumer in node.consumers:
-        if not consumer.selected:
-            return
-        inherited |= consumer.kind & _BASE_FLAGS
-    select(node, RemovalKind.PROPAGATED | inherited)
+    inherited = _propagated_kind(graph, index)
+    if inherited:
+        select(graph, index, inherited)
+
+
+def _propagated_kind(graph: TraceGraph, index: int) -> int:
+    """The kind back-propagation selects the node with now, or 0."""
+    kinds = graph.kinds
+    if (kinds[index] or not graph.killed[index] or graph.external_ref[index]
+            or not graph.removable[index]):
+        return 0
+    consumers = graph.consumers[index]
+    if not consumers:
+        return 0
+    inherited = P
+    for consumer in consumers:
+        consumer_kind = kinds[consumer]
+        if not consumer_kind:
+            return 0
+        inherited |= consumer_kind & _BASE
+    return inherited

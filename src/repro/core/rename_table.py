@@ -35,26 +35,22 @@ def mem_operand(addr: int) -> Tuple[str, int]:
     return ("m", addr)
 
 
-class Entry:
-    """One rename-table entry: {valid, ref, value, producer}.
+#: An entry is a list ``[value, trace, index, ref, last_write_seq]``
+#: (valid = present in the table).  ``trace``/``index`` are the handle of
+#: the live producer: its trace's R-DFG (:class:`repro.core.rdfg.TraceGraph`
+#: or any object with a ``seq``) and its node index there.  ``ref`` says
+#: the value has been read.  ``last_write_seq`` is the trace of the most
+#: recent write *including non-modifying writes*: an entry is invalidated
+#: only when its last writer leaves the analysis scope, so a location kept
+#: fresh by an ongoing stream of silent writes stays tracked (its live
+#: producer may be older than the scope — selection decisions for that
+#: producer have already been emitted, which is exactly the paper's scope
+#: limitation).  A list rather than an object because one is allocated
+#: per retired write; the IR-detector inlines this protocol against
+#: :attr:`OperandRenameTable._entries` with these positions.
+VALUE, TRACE, INDEX, REF, LAST_WRITE = range(5)
 
-    Validity is represented by presence in the table.  ``producer`` is
-    the R-DFG node of the live producer.  ``last_write_seq`` is the
-    trace of the most recent write *including non-modifying writes*:
-    an entry is invalidated only when its last writer leaves the
-    analysis scope, so a location kept fresh by an ongoing stream of
-    silent writes stays tracked (its live producer may be older than
-    the scope — selection decisions for that producer have already been
-    emitted, which is exactly the paper's scope limitation).
-    """
-
-    __slots__ = ("value", "producer", "ref", "last_write_seq")
-
-    def __init__(self, value: int, producer) -> None:
-        self.value = value
-        self.producer = producer
-        self.ref = False
-        self.last_write_seq = producer.trace_seq if producer is not None else 0
+Handle = Tuple[object, int]
 
 
 @dataclass
@@ -63,14 +59,14 @@ class WriteOutcome:
 
     ``silent`` — the write was non-modifying (SV trigger; the old
     producer remains live).
-    ``killed`` — the old producer node whose value this write
+    ``killed`` — the handle of the old producer whose value this write
     overwrote, or None.
     ``killed_unreferenced`` — the killed producer's ref bit was clear
     (WW trigger).
     """
 
     silent: bool = False
-    killed: Optional[object] = None
+    killed: Optional[Handle] = None
     killed_unreferenced: bool = False
 
 
@@ -85,52 +81,53 @@ class OperandRenameTable:
     """Tracks the most recent producer of every live location."""
 
     def __init__(self) -> None:
-        self._entries: Dict[Operand, Entry] = {}
+        self._entries: Dict[Operand, list] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def read(self, operand: Operand):
-        """Record a read; returns the live producer node or None.
+    def read(self, operand: Operand) -> Optional[Handle]:
+        """Record a read; returns the live producer's handle or None.
 
         Sets the entry's ref bit (the value has been used).
         """
         entry = self._entries.get(operand)
         if entry is None:
             return None
-        entry.ref = True
-        return entry.producer
+        entry[REF] = True
+        return entry[TRACE], entry[INDEX]
 
     def peek_value(self, operand: Operand) -> Optional[int]:
         entry = self._entries.get(operand)
-        return entry.value if entry is not None else None
+        return entry[VALUE] if entry is not None else None
 
     def write(
-        self, operand: Operand, value: int, producer, detect_silent: bool = True
+        self, operand: Operand, value: int, trace, index: int,
+        detect_silent: bool = True,
     ) -> WriteOutcome:
-        """Record a write; detects SV/WW triggers and kills old values.
+        """Record a write by node ``index`` of ``trace``; detects SV/WW
+        triggers and kills old values.
 
-        On a non-modifying write the table is left unchanged — the old
-        producer remains live (paper, section 2.1.2).  With
-        ``detect_silent=False`` (branch-only removal mode) equal values
-        still replace the producer.
+        On a non-modifying write the table keeps the old producer live
+        (paper, section 2.1.2) and only refreshes the entry's scope
+        lifetime.  With ``detect_silent=False`` (branch-only removal
+        mode) equal values still replace the producer.
         """
         entry = self._entries.get(operand)
         if entry is not None:
-            if detect_silent and entry.value == value:
-                entry.last_write_seq = producer.trace_seq
+            if detect_silent and entry[VALUE] == value:
+                entry[LAST_WRITE] = trace.seq
                 return _SILENT_OUTCOME
-            outcome = WriteOutcome(
-                killed=entry.producer, killed_unreferenced=not entry.ref
-            )
-            self._entries[operand] = Entry(value, producer)
+            outcome = WriteOutcome(killed=(entry[TRACE], entry[INDEX]),
+                                   killed_unreferenced=not entry[REF])
+            self._entries[operand] = [value, trace, index, False, trace.seq]
             return outcome
-        self._entries[operand] = Entry(value, producer)
+        self._entries[operand] = [value, trace, index, False, trace.seq]
         return _FRESH_OUTCOME
 
     def invalidate_if_stale(self, operand: Operand, trace_seq: int) -> None:
         """Drop the entry if its most recent writer belongs to the trace
         leaving the analysis scope (no newer write refreshed it)."""
         entry = self._entries.get(operand)
-        if entry is not None and entry.last_write_seq == trace_seq:
+        if entry is not None and entry[LAST_WRITE] == trace_seq:
             del self._entries[operand]

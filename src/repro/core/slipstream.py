@@ -48,8 +48,9 @@ divided by the cycles for **both** streams to complete (section 5).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.arch.compiled import compiled_for, resolve_engine
 from repro.arch.executor import DynInstr, ExecutionError, execute_one
@@ -389,7 +390,7 @@ class SlipstreamProcessor:
         #: per fed trace, whether each instruction's branch outcome
         #: matched the A-stream's prediction (FIFO aligned with the
         #: detector's analyses; trains the per-instruction mechanism).
-        self._pending_branch_ok: List[List[bool]] = []
+        self._pending_branch_ok: Deque[List[bool]] = deque()
         self._detector_seq = 0
         #: Co-simulation iteration index, used only to tag trace events.
         self._obs_seq = 0
@@ -1457,7 +1458,7 @@ class SlipstreamProcessor:
         says was not removable this time.
         """
         self.ir_predictor.train_removal(analysis)
-        oks = self._pending_branch_ok.pop(0) if self._pending_branch_ok else []
+        oks = self._pending_branch_ok.popleft() if self._pending_branch_ok else []
         if self.config.removal_mechanism == "pc":
             for pc, selected, kind, ok in zip(
                 analysis.pcs, analysis.ir_vec, analysis.kinds,

@@ -1,5 +1,8 @@
 """Unit tests for the IR-detector: triggers, back-propagation, scope."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
@@ -8,6 +11,7 @@ from repro.core.removal import RemovalKind, removal_category
 from repro.isa.assembler import assemble
 from repro.isa.program import DATA_BASE
 from repro.trace.selection import TraceSelector
+from repro.workloads.suite import benchmark_suite
 
 
 def analyses_of(source, trace_length=32, scope=8, triggers=("BR", "WW", "SV")):
@@ -252,3 +256,48 @@ class TestScopeMechanics:
         _, analyses = analyses_of(source, trace_length=4)
         seqs = [a.trace_seq for a in analyses]
         assert seqs == sorted(seqs)
+
+
+class TestPinnedSuiteOutput:
+    """Exact detector output on the retired streams of all 8 analogs.
+
+    Each analog is capped at :data:`CAP` retired instructions.  Any
+    change to a selection, a kind, a PC or the retirement order of an
+    analysis changes the digests.
+    """
+
+    CAP = 20_000
+    DIGESTS = {
+        "default": "d597f71851ca398e7a4ee9e7b70eb87995348d044fbc1658a05c24fb4727e635",
+        "branch-only": "4c97ca338be9676e96f6186836e2af2a628cc1e04f9819082a852b856e97255f",
+        "scope-1": "597649389ba7a6e0c70dd010d65bd4c8af59282c020d0d362ed35334655f5ecd",
+    }
+    CONFIGS = {
+        "default": {},
+        "branch-only": {"triggers": {"BR"}},
+        "scope-1": {"scope_traces": 1},
+    }
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        streams = []
+        for bench in benchmark_suite():
+            sim = FunctionalSimulator(bench.program(1))
+            steps = itertools.islice(sim.steps(), self.CAP)
+            streams.append(list(TraceSelector().chunk(steps)))
+        return streams
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_suite_digest(self, streams, config):
+        digest = hashlib.sha256()
+        for traces in streams:
+            detector = IRDetector(**self.CONFIGS[config])
+            analyses = []
+            for trace in traces:
+                analyses.extend(detector.feed_trace(trace))
+            analyses.extend(detector.drain())
+            for a in analyses:
+                record = (a.trace_seq, a.trace_id.start_pc, a.trace_id.outcomes,
+                          a.ir_vec, tuple(int(k) for k in a.kinds), a.pcs)
+                digest.update(repr(record).encode())
+        assert digest.hexdigest() == self.DIGESTS[config]

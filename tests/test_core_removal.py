@@ -43,11 +43,11 @@ class TestRemovalCategory:
             removal_category(RemovalKind.NONE)
 
 
-class _Node:
-    """Stand-in producer with a trace_seq, for rename-table tests."""
+class _Trace:
+    """Stand-in producer trace with a seq, for rename-table tests."""
 
-    def __init__(self, trace_seq=0):
-        self.trace_seq = trace_seq
+    def __init__(self, seq=0):
+        self.seq = seq
 
 
 class TestOperandRenameTable:
@@ -57,66 +57,76 @@ class TestOperandRenameTable:
 
     def test_write_then_read_returns_producer(self):
         table = OperandRenameTable()
-        node = _Node()
-        table.write(("r", 1), 5, node)
-        assert table.read(("r", 1)) is node
+        trace = _Trace()
+        table.write(("r", 1), 5, trace, 0)
+        assert table.read(("r", 1)) == (trace, 0)
 
     def test_read_sets_ref_bit(self):
         table = OperandRenameTable()
-        first, second = _Node(), _Node()
-        table.write(("r", 1), 5, first)
+        trace = _Trace()
+        table.write(("r", 1), 5, trace, 0)
         table.read(("r", 1))
-        outcome = table.write(("r", 1), 6, second)
-        assert outcome.killed is first
+        outcome = table.write(("r", 1), 6, trace, 1)
+        assert outcome.killed == (trace, 0)
         assert not outcome.killed_unreferenced
 
     def test_unreferenced_kill(self):
         table = OperandRenameTable()
-        first, second = _Node(), _Node()
-        table.write(("r", 1), 5, first)
-        outcome = table.write(("r", 1), 6, second)
-        assert outcome.killed is first and outcome.killed_unreferenced
+        trace = _Trace()
+        table.write(("r", 1), 5, trace, 0)
+        outcome = table.write(("r", 1), 6, trace, 1)
+        assert outcome.killed == (trace, 0) and outcome.killed_unreferenced
 
     def test_silent_write_detected_and_producer_kept(self):
         table = OperandRenameTable()
-        first, second = _Node(), _Node()
-        table.write(("m", 0x100), 5, first)
-        outcome = table.write(("m", 0x100), 5, second)
+        trace = _Trace()
+        table.write(("m", 0x100), 5, trace, 0)
+        outcome = table.write(("m", 0x100), 5, trace, 1)
         assert outcome.silent
-        assert table.read(("m", 0x100)) is first  # old producer live
+        assert table.read(("m", 0x100)) == (trace, 0)  # old producer live
 
     def test_silent_detection_can_be_disabled(self):
         table = OperandRenameTable()
-        first, second = _Node(), _Node()
-        table.write(("m", 0x100), 5, first)
-        outcome = table.write(("m", 0x100), 5, second, detect_silent=False)
-        assert not outcome.silent and outcome.killed is first
+        trace = _Trace()
+        table.write(("m", 0x100), 5, trace, 0)
+        outcome = table.write(("m", 0x100), 5, trace, 1, detect_silent=False)
+        assert not outcome.silent and outcome.killed == (trace, 0)
 
     def test_registers_and_memory_are_distinct_namespaces(self):
         table = OperandRenameTable()
-        reg_node, mem_node = _Node(), _Node()
-        table.write(("r", 4), 1, reg_node)
-        table.write(("m", 4), 1, mem_node)
-        assert table.read(("r", 4)) is reg_node
-        assert table.read(("m", 4)) is mem_node
+        reg_trace, mem_trace = _Trace(), _Trace()
+        table.write(("r", 4), 1, reg_trace, 0)
+        table.write(("m", 4), 1, mem_trace, 0)
+        assert table.read(("r", 4)) == (reg_trace, 0)
+        assert table.read(("m", 4)) == (mem_trace, 0)
 
     def test_invalidation_by_trace(self):
         table = OperandRenameTable()
-        node = _Node(trace_seq=3)
-        table.write(("r", 1), 5, node)
+        trace = _Trace(seq=3)
+        table.write(("r", 1), 5, trace, 0)
         table.invalidate_if_stale(("r", 1), 3)
         assert table.read(("r", 1)) is None
 
     def test_invalidation_spares_newer_producer(self):
         table = OperandRenameTable()
-        old, new = _Node(trace_seq=3), _Node(trace_seq=4)
-        table.write(("r", 1), 5, old)
-        table.write(("r", 1), 6, new)
+        old, new = _Trace(seq=3), _Trace(seq=4)
+        table.write(("r", 1), 5, old, 0)
+        table.write(("r", 1), 6, new, 0)
         table.invalidate_if_stale(("r", 1), 3)
-        assert table.read(("r", 1)) is new
+        assert table.read(("r", 1)) == (new, 0)
+
+    def test_silent_write_extends_entry_lifetime(self):
+        table = OperandRenameTable()
+        old, new = _Trace(seq=3), _Trace(seq=4)
+        table.write(("r", 1), 5, old, 0)
+        table.write(("r", 1), 5, new, 0)    # silent: old stays producer
+        table.invalidate_if_stale(("r", 1), 3)
+        assert table.read(("r", 1)) == (old, 0)
+        table.invalidate_if_stale(("r", 1), 4)
+        assert table.read(("r", 1)) is None
 
     def test_peek_value(self):
         table = OperandRenameTable()
-        table.write(("r", 2), 42, _Node())
+        table.write(("r", 2), 42, _Trace(), 0)
         assert table.peek_value(("r", 2)) == 42
         assert table.peek_value(("r", 3)) is None

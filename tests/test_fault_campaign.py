@@ -412,16 +412,33 @@ class TestMultiModeCampaign:
     MULTI = dict(benchmarks=(BENCH,), points_per_benchmark=4, seed=11,
                  modes=CAMPAIGN_MODES)
 
-    def test_every_mode_contributes_points(self, fresh_caches):
-        result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))
+    @pytest.fixture(scope="class")
+    def multi_result(self, tmp_path_factory):
+        """The 4-mode campaign, run once for the class from cold caches
+        under its own cache root; the module's caches are restored
+        before any test sees the result."""
+        saved = (models._DISK, models._DISK_ENABLED)
+        models.clear_cache()
+        jobs.reset_simulation_count()
+        models.configure_disk_cache(
+            enabled=True, cache_dir=str(tmp_path_factory.mktemp("multi") / "cache"))
+        try:
+            result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))
+        finally:
+            models.clear_cache()
+            models._DISK, models._DISK_ENABLED = saved
+        return result
+
+    def test_every_mode_contributes_points(self, multi_result):
+        result = multi_result
         assert not result.failed_points
         by_mode = {mode: result.for_mode(mode) for mode in CAMPAIGN_MODES}
         for mode, sub in by_mode.items():
             assert len(sub.results) == 4, mode
             assert all(r.mode == mode for r in sub.results)
 
-    def test_frontier_rows_complete(self, fresh_caches):
-        result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))
+    def test_frontier_rows_complete(self, multi_result):
+        result = multi_result
         rows = result.frontier()
         assert [r["mode"] for r in rows] == list(CAMPAIGN_MODES)
         for row in rows:
@@ -438,9 +455,9 @@ class TestMultiModeCampaign:
         for mode in CAMPAIGN_MODES:
             assert mode in table
 
-    def test_payload_carries_per_mode_breakdown(self, fresh_caches,
+    def test_payload_carries_per_mode_breakdown(self, multi_result,
                                                 tmp_path):
-        result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))
+        result = multi_result
         payload = json.loads(
             write_fault_bench(result, tmp_path / "m.json").read_text())
         assert payload["modes"] == list(CAMPAIGN_MODES)
@@ -461,8 +478,8 @@ class TestMultiModeCampaign:
         assert stats.simulated == 0  # warm rerun
         assert path1.read_bytes() == path2.read_bytes()
 
-    def test_per_mode_metrics_registered(self, fresh_caches):
-        result, _ = run_scaled_campaign(CampaignConfig(**self.MULTI))
+    def test_per_mode_metrics_registered(self, multi_result):
+        result = multi_result
         snapshot = result.metrics().snapshot()
         fired_modes = {r.mode for r in result.results
                        if r.outcome is not FaultOutcome.NOT_FIRED}

@@ -3,8 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.delay_buffer import DelayBuffer
-from repro.core.rdfg import RDFGNode, connect, kill, select, try_propagate
-from repro.core.removal import RemovalKind
+from repro.core.rdfg import BR, P, SV, WW, TraceGraph, kill, select, try_propagate
 from repro.uarch.config import CoreConfig
 from repro.uarch.scheduler import InstrTiming, OoOScheduler
 
@@ -127,42 +126,91 @@ class TestDelayBufferProperties:
 # ----------------------------------------------------------------------
 
 def _chain(n, trace_seq=0):
-    nodes = [RDFGNode(trace_seq, i) for i in range(n)]
-    for producer, consumer in zip(nodes, nodes[1:]):
-        connect(producer, consumer)
-    return nodes
+    graph = TraceGraph(trace_seq, n)
+    for producer in range(n - 1):
+        graph.connect(producer, producer + 1)
+    return graph
+
+
+@st.composite
+def _dag_events(draw):
+    """A random same-trace R-DFG plus the trigger and kill events the
+    detector could deliver for it, in a random order.
+
+    Triggered nodes are never killed (a branch writes nothing, and a
+    silent write leaves the old producer live), and a kill is
+    unreferenced exactly when the node has no consumers.
+    """
+    n = draw(st.integers(min_value=1, max_value=16))
+    edges = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] < e[1]),
+        max_size=3 * n,
+    ))
+    removable = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    external = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    roles = draw(st.lists(st.sampled_from(["trigger", "kill", "none"]),
+                          min_size=n, max_size=n))
+    trigger_kinds = draw(st.lists(st.sampled_from([BR, WW, SV]),
+                                  min_size=n, max_size=n))
+    events = [(role, node) for node, role in enumerate(roles) if role != "none"]
+    order = draw(st.permutations(events))
+    return n, sorted(edges), removable, external, trigger_kinds, order
+
+
+def _replay(n, edges, removable, external, trigger_kinds, events):
+    graph = TraceGraph(0, n)
+    graph.removable[:] = removable
+    for producer, consumer in edges:
+        graph.connect(producer, consumer)
+    for node in external:
+        graph.external_ref[node] = True
+    for role, node in events:
+        if role == "trigger":
+            select(graph, node, trigger_kinds[node])
+        else:
+            kill(graph, node, unreferenced=not graph.consumers[node])
+    return graph.kinds
 
 
 class TestRDFGProperties:
     @given(st.integers(min_value=2, max_value=20))
     def test_selecting_tail_and_killing_selects_whole_chain(self, n):
-        nodes = _chain(n)
-        select(nodes[-1], RemovalKind.BR)
-        for node in nodes[:-1]:
-            kill(node, unreferenced=False)
-        assert all(node.selected for node in nodes)
-        for node in nodes[:-1]:
-            assert node.kind & RemovalKind.PROPAGATED
+        graph = _chain(n)
+        select(graph, n - 1, BR)
+        for node in range(n - 1):
+            kill(graph, node, unreferenced=False)
+        assert all(graph.kinds)
+        for node in range(n - 1):
+            assert graph.kinds[node] & P
 
     @given(st.integers(min_value=2, max_value=20), st.integers(0, 18))
     def test_external_ref_blocks_propagation(self, n, external_at):
         external_at = min(external_at, n - 2)
-        nodes = _chain(n)
-        external = RDFGNode(trace_seq=1, index=0)  # different trace
-        connect(nodes[external_at], external)
-        select(nodes[-1], RemovalKind.BR)
-        for node in nodes[:-1]:
-            kill(node, unreferenced=False)
-        assert not nodes[external_at].selected
+        graph = _chain(n)
+        # A consumer in a different trace only marks the producer.
+        graph.external_ref[external_at] = True
+        select(graph, n - 1, BR)
+        for node in range(n - 1):
+            kill(graph, node, unreferenced=False)
+        assert not graph.kinds[external_at]
         # Everything strictly between the externally-referenced node and
         # the tail still propagates.
-        for node in nodes[external_at + 1:-1]:
-            assert node.selected
+        for node in range(external_at + 1, n - 1):
+            assert graph.kinds[node]
 
     @given(st.integers(min_value=1, max_value=20))
     def test_unkilled_nodes_never_propagate(self, n):
-        nodes = _chain(n)
-        select(nodes[-1], RemovalKind.BR)
-        for node in nodes[:-1]:
-            try_propagate(node)
-        assert not any(node.selected for node in nodes[:-1])
+        graph = _chain(n)
+        select(graph, n - 1, BR)
+        for node in range(n - 1):
+            try_propagate(graph, node)
+        assert not any(graph.kinds[:-1])
+
+    @given(_dag_events())
+    @settings(max_examples=150, deadline=None)
+    def test_final_kinds_independent_of_event_order(self, case):
+        n, edges, removable, external, trigger_kinds, order = case
+        canonical = sorted(order, key=lambda event: event[1])
+        assert (_replay(n, edges, removable, external, trigger_kinds, order)
+                == _replay(n, edges, removable, external, trigger_kinds, canonical))
