@@ -76,11 +76,7 @@ from repro.trace.selection import (
 )
 from repro.trace.trace_id import TraceId
 from repro.uarch.cache import Cache
-from repro.uarch.compiled_timing import (
-    TraceTimingEngine,
-    compiled_timing_enabled,
-    timing_meta_for,
-)
+from repro.uarch.compiled_timing import TraceTimingEngine, timing_meta_for
 from repro.uarch.config import CoreConfig, SS_64x4
 from repro.uarch.latencies import latency_of
 from repro.uarch.scheduler import OoOScheduler
@@ -90,7 +86,14 @@ from repro.uarch.scheduler import OoOScheduler
 #: R-stream instruction is redundantly executed (validated against the
 #: A-stream).  May mutate ``state`` (architectural fault) and/or return
 #: a replacement record (fault visible to the comparison hardware).
+#: A replacement must keep every field in :data:`_HOOK_FIXED` (a fault
+#: corrupts ``value``): the timing engines cache a trace plan per key,
+#: taking destination registers and taken flags from the first records
+#: they see, so rewriting one of them raises :class:`SimulationError`.
 FaultHook = Callable[[str, DynInstr, ArchState, bool], DynInstr]
+
+#: DynInstr fields a fault hook's replacement record must keep.
+_HOOK_FIXED = ("pc", "instr", "next_pc", "taken", "dest_reg", "mem_addr")
 
 _NEVER_REMOVED = (InstrClass.JUMP_INDIRECT, InstrClass.OUT, InstrClass.HALT)
 
@@ -338,21 +341,18 @@ class SlipstreamProcessor:
         self.r_icache = Cache(self.r_core.icache)
         self.r_dcache = Cache(self.r_core.dcache)
 
-        # Compiled-timing engines (repro.uarch.compiled_timing), one per
-        # stream.  Disabled under fault injection: a hook may rewrite
-        # dynamic records in ways the static trace plans must not assume
-        # away, and fault campaigns are not the hot path anyway.
-        self._timing_a: Optional[TraceTimingEngine] = None
-        self._timing_r: Optional[TraceTimingEngine] = None
-        if fault_hook is None and compiled_timing_enabled():
-            self._timing_a = TraceTimingEngine(
-                self.a_sched, self.a_icache, self.a_dcache,
-                self._sched_meta, self.a_core,
-            )
-            self._timing_r = TraceTimingEngine(
-                self.r_sched, self.r_icache, self.r_dcache,
-                self._sched_meta, self.r_core,
-            )
+        # One trace scheduler per stream (repro.uarch.compiled_timing),
+        # fault-hooked or not.  Memoization is off: on this model the
+        # recorded deltas rarely replay, so every trace runs the
+        # engine's exact scalar pass.
+        self._timing_a = TraceTimingEngine(
+            self.a_sched, self.a_icache, self.a_dcache,
+            self._sched_meta, self.a_core, memoize=False,
+        )
+        self._timing_r = TraceTimingEngine(
+            self.r_sched, self.r_icache, self.r_dcache,
+            self._sched_meta, self.r_core, memoize=False,
+        )
 
         # Architectural contexts: the OS instantiates the program twice.
         initial = ArchState(image=program.data)
@@ -706,7 +706,7 @@ class SlipstreamProcessor:
             a_seq += 1
             a_executed += 1
             if fault_hook is not None:
-                dyn = fault_hook("A", dyn, a_state, True)
+                dyn = _check_hook("A", dyn, fault_hook("A", dyn, a_state, True))
             if dyn.is_store and dyn.mem_addr is not None:
                 track_undo(dyn.mem_addr)
             step = followed(pc, dyn.instr, True, dyn=dyn,
@@ -754,543 +754,63 @@ class SlipstreamProcessor:
         across trace boundaries; removed instructions consume no fetch
         slots (the stored intermediate PCs let the front end skip the
         removed chunks entirely, Figure 2)."""
-        engine = self._timing_a
-        if engine is not None:
-            # Compiled path: collect the executed substream and hand the
-            # whole trace to the memoizing engine.  The key pins the
-            # static schedule shape: the followed id plus step count
-            # walk a unique PC sequence, the mask says which steps
-            # executed (vs removed), and the misprediction index places
-            # the one possible in-trace redirect.
-            ex_steps: List[_FollowedStep] = []
-            dyns: List[DynInstr] = []
-            pre_breaks: List[bool] = []
-            mask = 0
-            bit = 1
-            misp_idx = -1
-            pending = False
-            for step in steps:
-                if step.executed:
-                    if step.mispredicted:
-                        misp_idx = len(dyns)
-                    mask |= bit
-                    pre_breaks.append(pending)
-                    pending = False
-                    ex_steps.append(step)
-                    dyns.append(step.dyn)
-                elif step.pred_taken and step.instr.is_control:
-                    # A presumed-taken removed transfer still ends the
-                    # fetch block (chunk-skipping fetch).
-                    pending = True
-                bit <<= 1
-            n = len(dyns)
-            if n:
-                key = (followed_tid, len(steps), mask, misp_idx)
-                last_complete, retires, count, block_pending, _nb = engine.schedule(
+        # Collect the executed substream and hand the whole trace to
+        # the engine.  The key pins the static schedule shape: the
+        # followed id plus step count walk a unique PC sequence, the
+        # mask says which steps executed (vs removed), and the
+        # misprediction index places the one possible in-trace redirect.
+        ex_steps: List[_FollowedStep] = []
+        dyns: List[DynInstr] = []
+        pre_breaks: List[bool] = []
+        mask = 0
+        bit = 1
+        misp_idx = -1
+        pending = False
+        for step in steps:
+            if step.executed:
+                if step.mispredicted:
+                    misp_idx = len(dyns)
+                mask |= bit
+                pre_breaks.append(pending)
+                pending = False
+                ex_steps.append(step)
+                dyns.append(step.dyn)
+            elif step.pred_taken and step.instr.is_control:
+                # A presumed-taken removed transfer still ends the
+                # fetch block (chunk-skipping fetch).
+                pending = True
+            bit <<= 1
+        n = len(dyns)
+        if n:
+            key = (followed_tid, len(steps), mask, misp_idx)
+            last_complete, retires, count, block_pending, _nb = (
+                self._timing_a.schedule(
                     key, dyns, n, self._a_block_count, self._a_block_pending,
                     pre_breaks=pre_breaks, redirect_at=misp_idx,
                     want_retires=True,
                 )
-                for i in range(n):
-                    ex_steps[i].a_retire = retires[i]
-                self._a_block_count = count
-                # Trailing removed-taken steps break the next block too.
-                self._a_block_pending = block_pending or pending
-                self._a_last_complete = last_complete
-                self._a_last_retire = retires[-1]
-            elif pending:
-                self._a_block_pending = True
-            return
-        cfg = self.a_core
-        icache_miss = cfg.icache.miss_penalty
-        dcache_miss = cfg.dcache.miss_penalty
-        fetch_width = cfg.fetch_width
-        block_pending = self._a_block_pending
-        block_count = self._a_block_count
-        sched_meta = self._sched_meta
-        # Scheduler pass inlined (same logic as OoOScheduler.add_args,
-        # specialized: the A-stream never merges delay-buffer values and
-        # never passes a fetch floor); scalar state in locals, written
-        # back after the loop, as in _r_phase.
-        asc = self.a_sched
-        as_overhead_num, as_overhead_den = asc._overhead_num, asc._overhead_den
-        as_overhead_acc = asc._overhead_acc
-        as_dispatch_width = asc._dispatch_width
-        as_issue_width = asc._issue_width
-        as_retire_width = asc._retire_width
-        as_rob_size = asc._rob_size
-        as_frontend_depth = asc._frontend_depth
-        as_reg_ready = asc._reg_ready
-        as_store_ready = asc._store_ready
-        as_store_get = as_store_ready.get
-        as_rob = asc._rob_retire
-        as_rob_append = as_rob.append
-        as_rob_popleft = as_rob.popleft
-        as_issue_count = asc._issue_count
-        as_issue_get = as_issue_count.get
-        as_next_block_cycle = asc._next_block_cycle
-        as_cur_block_fetch = asc._cur_block_fetch
-        as_last_dispatch = asc._last_dispatch
-        as_dispatch_used = asc._dispatch_used
-        as_retire_cycle = asc._retire_cycle
-        as_retire_count = asc._retire_count
-        as_retired = asc.retired
-        as_redirects = asc.redirects
-        redirect_penalty = asc.config.redirect_penalty
-        a_last_complete = self._a_last_complete
-        a_last_retire = self._a_last_retire
-        # Cache probes inlined as in _r_phase; counters written back
-        # after the loop.
-        aic = self.a_icache
-        aic_sets, aic_lb = aic._sets, aic._line_bytes
-        aic_ns, aic_assoc = aic._num_sets, aic._assoc
-        aic_stamp, aic_acc, aic_misses = aic._stamp, 0, 0
-        adc = self.a_dcache
-        adc_sets, adc_lb = adc._sets, adc._line_bytes
-        adc_ns, adc_assoc = adc._num_sets, adc._assoc
-        adc_stamp, adc_acc, adc_misses = adc._stamp, 0, 0
-        for step in steps:
-            if step.executed:
-                dyn = step.dyn
-                pc = dyn.pc
-                meta = sched_meta.get(pc)
-                if meta is None:
-                    instr = dyn.instr
-                    meta = (instr.srcs, latency_of(instr), instr.is_load,
-                            instr.is_store, instr.is_control, instr.is_branch)
-                srcs, latency, is_load, is_store, _, _ = meta
-                icache_penalty = 0
-                aic_acc += 1
-                aic_stamp += 1
-                line = pc // aic_lb
-                cset = aic_sets[line % aic_ns]
-                if line in cset:
-                    cset[line] = aic_stamp
-                else:
-                    aic_misses += 1
-                    if len(cset) >= aic_assoc:
-                        del cset[min(cset, key=cset.get)]
-                    cset[line] = aic_stamp
-                    icache_penalty = icache_miss
-                    block_pending = True
-                new_block = block_pending or block_count >= fetch_width
-                if new_block:
-                    block_count = 0
-                    block_pending = False
-                block_count += 1
-                mem_addr = dyn.mem_addr
-                dcache_penalty = 0
-                if mem_addr is not None:
-                    adc_acc += 1
-                    adc_stamp += 1
-                    line = mem_addr // adc_lb
-                    cset = adc_sets[line % adc_ns]
-                    if line in cset:
-                        cset[line] = adc_stamp
-                    else:
-                        adc_misses += 1
-                        if len(cset) >= adc_assoc:
-                            del cset[min(cset, key=cset.get)]
-                        cset[line] = adc_stamp
-                        dcache_penalty = dcache_miss
-                # --- inlined OoOScheduler.add_args (A-stream) ---
-                # Fetch.
-                if new_block:
-                    fetch = as_next_block_cycle + icache_penalty
-                    as_cur_block_fetch = fetch
-                    gap = 1
-                    if as_overhead_num:
-                        as_overhead_acc += as_overhead_num
-                        if as_overhead_acc >= as_overhead_den:
-                            as_overhead_acc -= as_overhead_den
-                            gap += 1
-                    as_next_block_cycle = fetch + gap
-                else:
-                    fetch = as_cur_block_fetch
-                # Operand readiness.
-                ready = 0
-                for src in srcs:
-                    t = as_reg_ready[src]
-                    if t > ready:
-                        ready = t
-                if is_load and mem_addr is not None:
-                    t = as_store_get(mem_addr, 0)
-                    if t > ready:
-                        ready = t
-                # Dispatch: in order, width-limited, ROB-limited.
-                dispatch = fetch + as_frontend_depth
-                if dispatch < as_last_dispatch:
-                    dispatch = as_last_dispatch
-                if len(as_rob) >= as_rob_size:
-                    rob_free = as_rob_popleft()
-                    if dispatch < rob_free:
-                        dispatch = rob_free
-                if dispatch == as_last_dispatch \
-                        and as_dispatch_used >= as_dispatch_width:
-                    dispatch += 1
-                if dispatch == as_last_dispatch:
-                    as_dispatch_used += 1
-                else:
-                    as_last_dispatch = dispatch
-                    as_dispatch_used = 1
-                # Issue: width-limited slot search.
-                issue = dispatch if dispatch > ready else ready
-                while as_issue_get(issue, 0) >= as_issue_width:
-                    issue += 1
-                as_issue_count[issue] = as_issue_get(issue, 0) + 1
-                # Complete.
-                complete = issue + latency
-                if is_load:
-                    complete += dcache_penalty
-                dest = dyn.dest_reg
-                if dest is not None:
-                    as_reg_ready[dest] = complete
-                if is_store and mem_addr is not None:
-                    as_store_ready[mem_addr] = complete
-                # Retire: in order, width-limited.
-                earliest = complete + 1
-                if earliest > as_retire_cycle:
-                    as_retire_cycle = earliest
-                    as_retire_count = 1
-                elif as_retire_count >= as_retire_width:
-                    as_retire_cycle += 1
-                    as_retire_count = 1
-                else:
-                    as_retire_count += 1
-                as_rob_append(as_retire_cycle)
-                as_retired += 1
-                # --- end inlined scheduler ---
-                a_last_complete = complete
-                a_last_retire = as_retire_cycle
-                step.a_retire = as_retire_cycle
-                if step.mispredicted:
-                    # Inlined OoOScheduler.redirect.
-                    floor = complete + 1 + redirect_penalty
-                    if floor > as_next_block_cycle:
-                        as_next_block_cycle = floor
-                    as_redirects += 1
-                    block_pending = True
-                taken = dyn.taken
-            else:
-                taken = step.pred_taken and step.instr.is_control
-            if taken:
-                block_pending = True
-        self._a_block_pending = block_pending
-        self._a_block_count = block_count
-        asc._overhead_acc = as_overhead_acc
-        asc._next_block_cycle = as_next_block_cycle
-        asc._cur_block_fetch = as_cur_block_fetch
-        asc._last_dispatch = as_last_dispatch
-        asc._dispatch_used = as_dispatch_used
-        asc._retire_cycle = as_retire_cycle
-        asc._retire_count = as_retire_count
-        asc.retired = as_retired
-        asc.redirects = as_redirects
-        self._a_last_complete = a_last_complete
-        self._a_last_retire = a_last_retire
-        aic._stamp = aic_stamp
-        aic.accesses += aic_acc
-        aic.misses += aic_misses
-        adc._stamp = adc_stamp
-        adc.accesses += adc_acc
-        adc.misses += adc_misses
+            )
+            for i in range(n):
+                ex_steps[i].a_retire = retires[i]
+            self._a_block_count = count
+            # Trailing removed-taken steps break the next block too.
+            self._a_block_pending = block_pending or pending
+            self._a_last_complete = last_complete
+            self._a_last_retire = retires[-1]
+        elif pending:
+            self._a_block_pending = True
 
     # ==================================================================
     # R-phase: consume one delay-buffer group in the R-stream.
     # ==================================================================
 
     def _r_phase(self, record: _ATraceRecord) -> None:
-        if self._timing_r is not None:
-            self._r_phase_compiled(record)
-            return
-        available = record.available_cycle
-        self.r_sched.stall_fetch_until(available)
-
-        executed: List[DynInstr] = []
-        branch_ok: List[bool] = []
-        deviation: Optional[Tuple[str, int]] = None  # (kind, detect_cycle)
-        last_complete = self.r_sched.total_cycles
-
-        # Execute + schedule, fused and fully hoisted: this loop retires
-        # every R-stream (architectural) instruction, making it the
-        # single hottest region of the co-simulation.  Stream state is
-        # kept in locals and written back after the loop.
-        r_state = self.r_state
-        r_pc = self.r_pc
-        r_seq = self._r_seq
-        retired = self.retired
-        fault_hook = self.fault_hook
-        funcs = self._step_funcs
-        funcs_get = funcs.get if funcs is not None else None
-        program = self.program
-        sched_meta_get = self._sched_meta.get
-        # Scheduler pass inlined (same logic as OoOScheduler.add_args,
-        # which documents it, specialized: fetch_floor is always 0 and
-        # merged == step.executed here).  Mutable containers are shared
-        # in place; scalar state lives in locals until the writeback
-        # after the loop.
-        rsc = self.r_sched
-        rs_overhead_num, rs_overhead_den = rsc._overhead_num, rsc._overhead_den
-        rs_overhead_acc = rsc._overhead_acc
-        rs_dispatch_width = rsc._dispatch_width
-        rs_issue_width = rsc._issue_width
-        rs_retire_width = rsc._retire_width
-        rs_rob_size = rsc._rob_size
-        rs_frontend_depth = rsc._frontend_depth
-        rs_merge_width = rsc._merge_width
-        rs_reg_ready = rsc._reg_ready
-        rs_store_ready = rsc._store_ready
-        rs_store_get = rs_store_ready.get
-        rs_rob = rsc._rob_retire
-        rs_rob_append = rs_rob.append
-        rs_rob_popleft = rs_rob.popleft
-        rs_issue_count = rsc._issue_count
-        rs_issue_get = rs_issue_count.get
-        rs_next_block_cycle = rsc._next_block_cycle
-        rs_cur_block_fetch = rsc._cur_block_fetch
-        rs_last_dispatch = rsc._last_dispatch
-        rs_dispatch_used = rsc._dispatch_used
-        rs_merge_cycle = rsc._merge_cycle
-        rs_merge_used = rsc._merge_used
-        rs_retire_cycle = rsc._retire_cycle
-        rs_retire_count = rsc._retire_count
-        rs_retired = rsc.retired
-        rs_merge_stalls = rsc.merge_stalls
-        # Cache probes are inlined below (same hit/miss/LRU logic as
-        # Cache.probe); counters accumulate in locals and are written
-        # back right after the loop.
-        ric = self.r_icache
-        ric_sets, ric_lb = ric._sets, ric._line_bytes
-        ric_ns, ric_assoc = ric._num_sets, ric._assoc
-        ric_stamp, ric_acc, ric_misses = ric._stamp, 0, 0
-        rdc = self.r_dcache
-        rdc_sets, rdc_lb = rdc._sets, rdc._line_bytes
-        rdc_ns, rdc_assoc = rdc._num_sets, rdc._assoc
-        rdc_stamp, rdc_acc, rdc_misses = rdc._stamp, 0, 0
-        cfg = self.r_core
-        icache_miss = cfg.icache.miss_penalty
-        dcache_miss = cfg.dcache.miss_penalty
-        fetch_width = cfg.fetch_width
-        block_break = self._r_block_break
-        block_count = self._r_block_count
-        transfer_latency = self.config.transfer_latency
-        recovery = self.recovery
-        detector_seq = self._detector_seq
-        executed_append = executed.append
-        branch_ok_append = branch_ok.append
-
-        for step in record.steps:
-            if r_state.halted:
-                break
-            if r_pc != step.pc:
-                # Control deviation the A-stream did not know about
-                # (removed mispredicted branch, or corrupt A context).
-                deviation = ("control", last_complete)
-                break
-            # Execute one architectural instruction (inlined _r_execute).
-            if funcs_get is not None and (f := funcs_get(r_pc)) is not None:
-                dyn = f(r_state, r_seq)
-            else:
-                dyn = execute_one(program, r_state, r_pc, seq=r_seq)
-            r_seq += 1
-            retired += 1
-            step_executed = step.executed
-            if fault_hook is not None:
-                dyn = fault_hook("R", dyn, r_state, step_executed)
-
-            # Schedule it (inlined _schedule_r_instr); the fault hook
-            # never alters pc/instr, so static metadata stays valid.
-            pc = dyn.pc
-            meta = sched_meta_get(pc)
-            if meta is None:
-                instr = dyn.instr
-                meta = (instr.srcs, latency_of(instr), instr.is_load,
-                        instr.is_store, instr.is_control, instr.is_branch)
-            srcs, latency, is_load, is_store, is_control, is_branch = meta
-            icache_penalty = 0
-            ric_acc += 1
-            ric_stamp += 1
-            line = pc // ric_lb
-            cset = ric_sets[line % ric_ns]
-            if line in cset:
-                cset[line] = ric_stamp
-            else:
-                ric_misses += 1
-                if len(cset) >= ric_assoc:
-                    del cset[min(cset, key=cset.get)]
-                cset[line] = ric_stamp
-                icache_penalty = icache_miss
-                block_break = True
-            new_block = block_break or block_count >= fetch_width
-            if new_block:
-                block_count = 0
-                block_break = False
-            block_count += 1
-            taken = dyn.taken
-            if is_control and taken:
-                block_break = True
-            mem_addr = dyn.mem_addr
-            dcache_penalty = 0
-            if mem_addr is not None:
-                rdc_acc += 1
-                rdc_stamp += 1
-                line = mem_addr // rdc_lb
-                cset = rdc_sets[line % rdc_ns]
-                if line in cset:
-                    cset[line] = rdc_stamp
-                else:
-                    rdc_misses += 1
-                    if len(cset) >= rdc_assoc:
-                        del cset[min(cset, key=cset.get)]
-                    cset[line] = rdc_stamp
-                    dcache_penalty = dcache_miss
-            # --- inlined OoOScheduler.add_args (R-stream) ---
-            # Fetch.
-            if new_block:
-                fetch = rs_next_block_cycle + icache_penalty
-                rs_cur_block_fetch = fetch
-                gap = 1
-                if rs_overhead_num:
-                    rs_overhead_acc += rs_overhead_num
-                    if rs_overhead_acc >= rs_overhead_den:
-                        rs_overhead_acc -= rs_overhead_den
-                        gap += 1
-                rs_next_block_cycle = fetch + gap
-            else:
-                fetch = rs_cur_block_fetch
-            # Operand readiness (delay-buffer override for redundantly
-            # executed instructions only).
-            ready = 0
-            for src in srcs:
-                t = rs_reg_ready[src]
-                if t > ready:
-                    ready = t
-            if is_load and mem_addr is not None:
-                t = rs_store_get(mem_addr, 0)
-                if t > ready:
-                    ready = t
-            if step_executed:
-                override = step.a_retire + transfer_latency
-                if override < available:
-                    override = available
-                accelerated = override < ready
-            else:
-                accelerated = False
-            if accelerated:
-                local_ready = ready
-                ready = override
-            # Dispatch: in order, width-limited, ROB-limited.
-            dispatch = fetch + rs_frontend_depth
-            if dispatch < rs_last_dispatch:
-                dispatch = rs_last_dispatch
-            if len(rs_rob) >= rs_rob_size:
-                rob_free = rs_rob_popleft()
-                if dispatch < rob_free:
-                    dispatch = rob_free
-            if dispatch == rs_last_dispatch \
-                    and rs_dispatch_used >= rs_dispatch_width:
-                dispatch += 1
-            if accelerated and local_ready > dispatch:
-                if dispatch == rs_merge_cycle \
-                        and rs_merge_used >= rs_merge_width:
-                    dispatch += 1
-                    rs_merge_stalls += 1
-                if dispatch == rs_merge_cycle:
-                    rs_merge_used += 1
-                else:
-                    rs_merge_cycle = dispatch
-                    rs_merge_used = 1
-            if dispatch == rs_last_dispatch:
-                rs_dispatch_used += 1
-            else:
-                rs_last_dispatch = dispatch
-                rs_dispatch_used = 1
-            # Issue: width-limited slot search.
-            issue = dispatch if dispatch > ready else ready
-            while rs_issue_get(issue, 0) >= rs_issue_width:
-                issue += 1
-            rs_issue_count[issue] = rs_issue_get(issue, 0) + 1
-            # Complete.
-            complete = issue + latency
-            if is_load:
-                complete += dcache_penalty
-            dest = dyn.dest_reg
-            if dest is not None:
-                rs_reg_ready[dest] = complete
-            if is_store and mem_addr is not None:
-                rs_store_ready[mem_addr] = complete
-            # Retire: in order, width-limited.
-            earliest = complete + 1
-            if earliest > rs_retire_cycle:
-                rs_retire_cycle = earliest
-                rs_retire_count = 1
-            elif rs_retire_count >= rs_retire_width:
-                rs_retire_cycle += 1
-                rs_retire_count = 1
-            else:
-                rs_retire_count += 1
-            rs_rob_append(rs_retire_cycle)
-            rs_retired += 1
-            # --- end inlined scheduler ---
-            last_complete = complete
-            executed_append(dyn)
-            branch_ok_append(not is_branch or taken == step.pred_taken)
-
-            if step_executed:
-                a_dyn = step.dyn
-                # Redundant-instruction comparison, inlined _mismatch.
-                if (a_dyn.value != dyn.value
-                        or a_dyn.mem_addr != mem_addr
-                        or a_dyn.taken != taken
-                        or a_dyn.next_pc != dyn.next_pc):
-                    deviation = ("value", last_complete)
-                    r_pc = dyn.next_pc
-                    break
-                if is_store and a_dyn.mem_addr is not None:
-                    recovery.untrack_undo(a_dyn.mem_addr)
-            else:
-                if is_branch and taken != step.pred_taken:
-                    # A removed branch whose presumed outcome was wrong.
-                    deviation = ("control", last_complete)
-                    r_pc = dyn.next_pc
-                    break
-                if is_store and mem_addr is not None:
-                    recovery.track_do(mem_addr, detector_seq)
-            r_pc = dyn.next_pc
-
-        self.r_pc = r_pc
-        self._r_seq = r_seq
-        self.retired = retired
-        self._r_block_break = block_break
-        self._r_block_count = block_count
-        rsc._overhead_acc = rs_overhead_acc
-        rsc._next_block_cycle = rs_next_block_cycle
-        rsc._cur_block_fetch = rs_cur_block_fetch
-        rsc._last_dispatch = rs_last_dispatch
-        rsc._dispatch_used = rs_dispatch_used
-        rsc._merge_cycle = rs_merge_cycle
-        rsc._merge_used = rs_merge_used
-        rsc._retire_cycle = rs_retire_cycle
-        rsc._retire_count = rs_retire_count
-        rsc.retired = rs_retired
-        rsc.merge_stalls = rs_merge_stalls
-        ric._stamp = ric_stamp
-        ric.accesses += ric_acc
-        ric.misses += ric_misses
-        rdc._stamp = rdc_stamp
-        rdc.accesses += rdc_acc
-        rdc.misses += rdc_misses
-        self._r_finish(record, executed, branch_ok, deviation, last_complete)
-
-    def _r_phase_compiled(self, record: _ATraceRecord) -> None:
-        """R-phase with the memoizing timing engine: one architectural
-        pass (execution, redundant-instruction comparison, recovery
-        tracking — none of which reads the timing model), then one
-        engine call for the whole trace's schedule.  Bit-identical to
-        the fused scalar loop in :meth:`_r_phase`: timing never feeds
-        back into architecture within a trace, and the deviation
-        detect-cycle is the last scheduled instruction's completion
-        either way."""
+        """One architectural pass over the outcome group (execution,
+        redundant-instruction comparison, recovery tracking — none of
+        which reads the timing model), then one engine call for the
+        whole trace's schedule.  Timing never feeds back into
+        architecture within a trace, and the deviation detect-cycle is
+        the last scheduled instruction's completion."""
         available = record.available_cycle
         rsc = self.r_sched
         rsc.stall_fetch_until(available)
@@ -1302,6 +822,7 @@ class SlipstreamProcessor:
         r_pc = self.r_pc
         r_seq = self._r_seq
         retired = self.retired
+        fault_hook = self.fault_hook
         funcs = self._step_funcs
         funcs_get = funcs.get if funcs is not None else None
         program = self.program
@@ -1331,6 +852,9 @@ class SlipstreamProcessor:
                 dyn = execute_one(program, r_state, r_pc, seq=r_seq)
             r_seq += 1
             retired += 1
+            if fault_hook is not None:
+                dyn = _check_hook(
+                    "R", dyn, fault_hook("R", dyn, r_state, step.executed))
             executed_append(dyn)
             meta = sched_meta_get(dyn.pc)
             if meta is None:
@@ -1400,9 +924,9 @@ class SlipstreamProcessor:
         deviation: Optional[Tuple[str, int]],
         last_complete: int,
     ) -> None:
-        """Post-schedule R-phase tail, shared by the scalar and compiled
-        paths: detector feeding, predictor training, ir-vec bookkeeping,
-        deviation resolution and recovery."""
+        """Post-schedule R-phase tail: detector feeding, predictor
+        training, ir-vec bookkeeping, deviation resolution and
+        recovery."""
         # Feed the IR-detector with what the R-stream actually retired,
         # train the IR-predictor, and verify outstanding ir-vecs.
         if executed:
@@ -1546,6 +1070,19 @@ class SlipstreamProcessor:
             obs.emit("cache", cache=name, accesses=cache.accesses,
                      hits=cache.hits, misses=cache.misses)
         obs.emit("summary", counters=registry.snapshot())
+
+
+def _check_hook(stream: str, dyn: DynInstr, new: DynInstr) -> DynInstr:
+    """Return a fault hook's record after checking it kept every field
+    in :data:`_HOOK_FIXED` (see :data:`FaultHook`)."""
+    if new is not dyn:
+        for name in _HOOK_FIXED:
+            if getattr(new, name) != getattr(dyn, name):
+                raise SimulationError(
+                    f"{stream}-stream fault hook rewrote {name!r} "
+                    f"at pc {dyn.pc:#x}"
+                )
+    return new
 
 
 def _trace_id_of_steps(steps: List[_FollowedStep], start_pc: int) -> TraceId:

@@ -171,11 +171,12 @@ def render_report(scale: int) -> str:
     w("Both fast paths behind these numbers are opt-out and\n"
       "identity-checked in CI: `REPRO_COMPILED=0` falls back to the\n"
       "interpreted execution engine (§7.8, `BENCH_perf_smoke.json`) and\n"
-      "`REPRO_COMPILED_TIMING=0` to the scalar per-instruction scheduler\n"
-      "(§7.9, `BENCH_timing.json` — ~1.7× on the superscalar baseline,\n"
-      "parity on the already-inlined slipstream loops, timestamps\n"
-      "identical either way).  Neither flag enters config fingerprints,\n"
-      "so toggling them never invalidates cached results.\n")
+      "`REPRO_COMPILED_TIMING=0` runs the superscalar baseline on the\n"
+      "per-instruction scheduler instead of the memoized engine (§7.9,\n"
+      "`BENCH_timing.json` — ~1.7×, timestamps identical either way; the\n"
+      "slipstream model never memoizes, so the flag does not touch it).\n"
+      "Neither flag enters config fingerprints, so toggling them never\n"
+      "invalidates cached results.\n")
 
     # Table 1 -----------------------------------------------------------
     w("## Table 1: benchmarks\n")

@@ -36,9 +36,10 @@ class Cache:
 
         Misses allocate (fetch the line); LRU victim is evicted.
 
-        NOTE: the slipstream co-simulation hot loops
-        (``repro.core.slipstream``) inline this exact logic against
-        ``_sets``/``_stamp``; keep them in sync when changing it.
+        NOTE: the trace timing engine
+        (``repro.uarch.compiled_timing``) inlines this exact logic
+        against ``_sets``/``_stamp``, batched per same-line run; keep it
+        in sync when changing it.
         """
         self.accesses += 1
         line = addr // self._line_bytes

@@ -19,21 +19,23 @@ Three layers, all bit-identical to the scalar scheduler by construction:
    tuples, destination registers, latencies, fetch-block break flags,
    I-cache *line runs* (maximal same-line probe runs, batched into one
    LRU update each) and the set of registers whose entry readiness the
-   schedule can observe.
+   schedule can observe.  A plan takes each slot's destination register
+   and taken flag from the records it first sees, so a key must fix
+   them (the slipstream fault hooks rewrite only values and state).
 
-3. **Memoized timing deltas** — a trace's schedule is a pure function
-   of a small *entry signature* plus the position of the pipe anchor
-   ``M = max(C, last_dispatch)`` relative to the fetch anchor ``B``
-   (the next-block cycle), where ``C`` is the earliest possible
-   dispatch cycle.  Pipe-side entry state (ROB retire cycles, register
-   and store readiness, the retire/merge cursors, delay-buffer
-   override arrivals) is expressed relative to ``M`` and clamped to a
-   canonical floor when it is too old to be observable; fetch-side
-   state (the current-block fetch cycle, I-cache penalties, the fetch
-   overhead accumulator) is expressed relative to ``B``.  The first
-   time a signature is seen the trace is scheduled by the exact scalar
-   pass while recording per-slot timestamp deltas, issue-table effects
-   and the *fetch margin*: the smallest anchor gap ``mrel = M - B`` at
+3. **Memoized timing deltas** (engines built with ``memoize=True``) —
+   a trace's schedule is a pure function of a small *entry signature*
+   plus the position of the pipe anchor ``M = max(C, last_dispatch)``
+   relative to the fetch anchor ``B`` (the next-block cycle), where
+   ``C`` is the earliest possible dispatch cycle.  Pipe-side entry
+   state (ROB retire cycles, register and store readiness, the retire
+   cursor) is expressed relative to ``M`` and clamped to a canonical
+   floor when it is too old to be observable; fetch-side state (the
+   current-block fetch cycle, I-cache penalties, the fetch overhead
+   accumulator) is expressed relative to ``B``.  The first time a
+   signature is seen the trace is scheduled by the exact scalar pass
+   while recording per-slot timestamp deltas, issue-table effects and
+   the *fetch margin*: the smallest anchor gap ``mrel = M - B`` at
    which the fetch chain still never binds a dispatch.  A recorded
    delta replays — with integer adds — for every later entry whose
    signature matches and whose anchor gap is at or above that margin,
@@ -50,15 +52,15 @@ frontend_depth``: no dispatch in the trace can precede ``C``, and no
 dispatch can precede the entry ``last_dispatch`` either, so any entry
 readiness/ROB value at or below ``M = max(C, last_dispatch)`` is
 behaviorally indistinguishable from any other (see DESIGN.md §7.9 for
-the full fidelity argument).  The merge cycle, which participates in
-an equality test, clamps one cycle lower; the retire cycle clamps one
-higher (the first in-trace retirement is at least ``M + 2``).
+the full fidelity argument).  The retire cycle clamps one higher (the
+first in-trace retirement is at least ``M + 2``).
 
-Engine selection mirrors the functional engine: environmental
-(``REPRO_COMPILED_TIMING=0`` restores the scalar scheduler everywhere)
-and never part of any config fingerprint.  Fault-injection runs
-(``fault_hook``) always use the scalar path: a hook may perturb dynamic
-records in ways static plans must not assume away.
+The memo pays on the superscalar baseline, which builds its engine with
+``memoize=True`` unless ``REPRO_COMPILED_TIMING=0`` selects the
+per-instruction scheduler; the flag never enters any config
+fingerprint.  The slipstream model builds both of its engines with
+``memoize=False``: every trace runs the exact scalar pass, which is
+also the only pass that takes delay-buffer ``overrides``.
 """
 
 from __future__ import annotations
@@ -160,9 +162,9 @@ class _Delta:
     """Recorded effect of scheduling one trace from one entry signature.
 
     Pipe-side values (``rel_d``/``rel_i``/``rel_c``/``rel_r``, register
-    and store writes, issue-table cells, ``ld``/``mc``/``rc``/
-    ``last_c``) are relative to the pipe anchor ``M``; fetch-chain
-    values are ``max(B + *_b, M + *_m)`` pairs (the ``_m`` component is
+    and store writes, issue-table cells, ``ld``/``rc``/``last_c``) are
+    relative to the pipe anchor ``M``; fetch-chain values are
+    ``max(B + *_b, M + *_m)`` pairs (the ``_m`` component is
     :data:`_NEG` until a redirect floors the chain).  ``mrel_min`` is
     the smallest anchor gap the recorded schedule is valid for, or
     ``None`` for a gap-exact variant.
@@ -171,14 +173,15 @@ class _Delta:
     __slots__ = (
         "n", "rel_fb", "rel_fm", "rel_d", "rel_i", "rel_c", "rel_r",
         "pops", "reg_writes", "store_writes", "probes", "adds",
-        "nbc_b", "nbc_m", "cbf_b", "cbf_m", "ld", "du", "mc", "mu",
-        "rc", "rcount", "oacc", "block_count", "block_pending",
-        "new_blocks", "merge_stalls", "redirects", "last_c", "mrel_min",
+        "nbc_b", "nbc_m", "cbf_b", "cbf_m", "ld", "du", "rc", "rcount",
+        "oacc", "block_count", "block_pending", "new_blocks", "redirects",
+        "last_c", "mrel_min",
     )
 
 
 class TraceTimingEngine:
-    """Memoizing trace scheduler bound to one :class:`OoOScheduler`.
+    """Trace scheduler bound to one :class:`OoOScheduler`, memoizing
+    timing deltas when built with ``memoize=True``.
 
     The engine mutates the scheduler's real state (register/store
     readiness, ROB, issue table, retire bookkeeping) exactly as the
@@ -192,7 +195,7 @@ class TraceTimingEngine:
     __slots__ = (
         "_sched", "_icache", "_dcache", "_meta", "_fw", "_fd", "_rp",
         "_imiss", "_dmiss", "_ilb", "_ins", "_iassoc", "_dlb", "_dns",
-        "_dassoc", "_plans", "_dead",
+        "_dassoc", "_plans", "_memoize", "_dead",
     )
 
     def __init__(
@@ -202,6 +205,7 @@ class TraceTimingEngine:
         dcache: Cache,
         meta: Dict[int, tuple],
         config: CoreConfig,
+        memoize: bool,
     ):
         self._sched = scheduler
         self._icache = icache
@@ -219,7 +223,10 @@ class TraceTimingEngine:
         self._dns = dcache._num_sets
         self._dassoc = dcache._assoc
         self._plans: Dict[object, _TracePlan] = {}
-        self._dead = False
+        self._memoize = memoize
+        #: True once memoization is off for good: from construction
+        #: when ``memoize`` is False, or after a low replay rate.
+        self._dead = not memoize
 
     # ------------------------------------------------------------------
 
@@ -255,8 +262,8 @@ class TraceTimingEngine:
             m_srcs, m_lat, m_load, m_store, m_control, _ = meta
             srcs.append(m_srcs)
             # dest_reg is a pure function of the static instruction (the
-            # compiled step closures bind it as a constant); fault hooks,
-            # which may rewrite records, disable this engine entirely.
+            # compiled step closures bind it as a constant), and fault
+            # hooks may not rewrite it (see repro.core.slipstream.FaultHook).
             dest.append(dyn.dest_reg)
             lat.append(m_lat)
             is_load.append(m_load)
@@ -318,11 +325,14 @@ class TraceTimingEngine:
         Returns ``(last_complete, retires, block_count, block_pending,
         new_blocks)`` where ``retires`` is the per-slot retire-cycle
         list when ``want_retires`` else None.  ``overrides`` carries the
-        delay-buffer arrival cycle per slot (None = not value-predicted);
-        ``pre_breaks`` marks slots that must start a fetch block because
-        of skipped (removed) instructions before them; ``redirect_at``
-        schedules a branch-misprediction redirect after that slot.
+        delay-buffer arrival cycle per slot (None = not value-predicted)
+        and is taken only by a non-memoizing engine; ``pre_breaks``
+        marks slots that must start a fetch block because of skipped
+        (removed) instructions before them; ``redirect_at`` schedules a
+        branch-misprediction redirect after that slot.
         """
+        if overrides is not None and self._memoize:
+            raise ValueError("a memoizing timing engine takes no overrides")
         plans = self._plans
         plan = plans.get(key)
         if plan is None:
@@ -466,14 +476,6 @@ class TraceTimingEngine:
         else:
             sappend(rc_rel)
             sappend(sched._retire_count)
-        if overrides is not None:
-            mc_rel = sched._merge_cycle - M
-            if mc_rel <= -1:
-                sappend(-1)
-                sappend(0)
-            else:
-                sappend(mc_rel)
-                sappend(sched._merge_used)
         sappend(L)
         if pops > 0:
             for t in islice(rob, 0, pops):
@@ -483,11 +485,6 @@ class TraceTimingEngine:
         for r in plan.read_regs:
             v = reg_ready[r] - M
             sappend(v if v > 0 else 0)
-        if overrides is not None:
-            for ov in overrides:
-                if ov is not None:
-                    v = ov - M
-                    sappend(v if v > 0 else 0)
         sappend(imisses)
         if imisses:
             sigp.extend(ipens)
@@ -575,14 +572,10 @@ class TraceTimingEngine:
         sched._cur_block_fetch = x if x > y else y
         sched._last_dispatch = M + d.ld
         sched._dispatch_used = d.du
-        if d.mc is not None:
-            sched._merge_cycle = M + d.mc
-            sched._merge_used = d.mu
         sched._retire_cycle = M + d.rc
         sched._retire_count = d.rcount
         sched._overhead_acc = d.oacc
         sched.retired += d.n
-        sched.merge_stalls += d.merge_stalls
         sched.redirects += d.redirects
         retires = vals if want_retires else None
         if cb is not None:
@@ -873,21 +866,12 @@ class TraceTimingEngine:
             d.cbf_m = cbf_m
             d.ld = ld - M
             d.du = du
-            if overrides is not None:
-                d.mc = mc - M
-                d.mu = mu
-            else:
-                # The merge cursor is only live on schedulers that see
-                # delay-buffer overrides; leave it untouched on replay.
-                d.mc = None
-                d.mu = 0
             d.rc = rc - M
             d.rcount = rcount
             d.oacc = oacc
             d.block_count = block_count
             d.block_pending = block_pending
             d.new_blocks = new_blocks
-            d.merge_stalls = merge_stalls
             d.redirects = redirects
             d.last_c = last_complete - M
             if pipe_ok:

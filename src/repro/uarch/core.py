@@ -206,7 +206,7 @@ class SuperscalarCore:
             sched = target
         self._timing = TraceTimingEngine(
             sched, self.icache, self.dcache,
-            timing_meta_for(self.program), self.config,
+            timing_meta_for(self.program), self.config, memoize=True,
         )
 
     def _schedule_trace(self, trace: CompletedTrace, divergence: Optional[Divergence]) -> None:

@@ -154,8 +154,8 @@ class OoOScheduler:
         #: Compiled-timing engine tallies (:mod:`repro.uarch.compiled_timing`):
         #: traces replayed from a memoized delta, traces scheduled
         #: scalar-and-recorded, and traces that bypassed memoization
-        #: entirely.  All zero when the engine is disabled
-        #: (``REPRO_COMPILED_TIMING=0``).  Observers only.
+        #: entirely (every trace of a non-memoizing engine).  All zero
+        #: when no engine drives the scheduler.  Observers only.
         self.timing_block_hit = 0
         self.timing_block_miss = 0
         self.timing_fallback = 0
@@ -205,9 +205,11 @@ class OoOScheduler:
         :class:`InstrTiming` allocation (one call per scheduled dynamic
         instruction).
 
-        NOTE: the slipstream co-simulation hot loops
-        (``repro.core.slipstream``) inline this exact logic with the
-        scalar state in locals; keep them in sync when changing it.
+        This is the per-instruction reference semantics.  The trace
+        timing engine's exact pass (``TraceTimingEngine._scalar`` in
+        ``repro.uarch.compiled_timing``) implements the same rules a
+        trace at a time and is differentially tested against this
+        method; keep the two in sync when changing either.
         """
         # Fetch.
         if new_block:

@@ -1,9 +1,15 @@
 """Tests for transient-fault injection and the paper's section 3 claims."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.functional import FunctionalSimulator
-from repro.core.slipstream import SlipstreamConfig, SlipstreamProcessor
+from repro.core.slipstream import (
+    SimulationError,
+    SlipstreamConfig,
+    SlipstreamProcessor,
+)
 from repro.fault.coverage import (
     FaultOutcome,
     classify_run,
@@ -66,6 +72,21 @@ class TestTransientFault:
         )
         SlipstreamProcessor(program, fault_hook=injector).run()
         assert not injector.report.fired
+
+
+class TestHookContract:
+    """A hook may rewrite a record's value, never its control or
+    addressing fields: the timing engines cache trace plans per key."""
+
+    @pytest.mark.parametrize("stream", ["A", "R"])
+    def test_rewriting_taken_raises(self, program, stream):
+        def flip_taken(hook_stream, dyn, state, compared):
+            if hook_stream == stream and dyn.instr.is_branch:
+                return replace(dyn, taken=not dyn.taken)
+            return dyn
+
+        with pytest.raises(SimulationError, match="'taken'"):
+            SlipstreamProcessor(program, fault_hook=flip_taken).run()
 
 
 class TestScenarios:
