@@ -739,7 +739,7 @@ class SlipstreamProcessor:
                     if self._obs is not None:
                         self._obs.emit("redirect", seq=self._obs_seq,
                                        stream="A", reason="unpredicted")
-            if dyn.instr.klass in (InstrClass.JUMP_INDIRECT, InstrClass.HALT):
+            if dyn.instr.ends_trace:
                 break
             pc = dyn.next_pc
         self._a_seq = a_seq

@@ -152,12 +152,12 @@ class Instruction:
     resolved by the assembler).
 
     Derived classification (``klass``, ``is_branch``, ``is_control``,
-    ``is_load``, ``is_store``) and the register-usage tuples are
-    precomputed once at construction and stored as plain attributes:
-    static instructions are few, dynamic accesses are millions, and the
-    property/frozenset-membership chains they replace dominated the
-    simulator's hot-path profile.  The cached attributes do not
-    participate in equality, hashing or ``repr``.
+    ``is_load``, ``is_store``, ``ends_trace``) and the register-usage
+    tuples are precomputed once at construction and stored as plain
+    attributes: static instructions are few, dynamic accesses are
+    millions, and the property/frozenset-membership chains they replace
+    dominated the simulator's hot-path profile.  The cached attributes
+    do not participate in equality, hashing or ``repr``.
     """
 
     opcode: Opcode
@@ -173,6 +173,8 @@ class Instruction:
     is_control: bool = dataclasses.field(init=False, repr=False, compare=False)
     is_load: bool = dataclasses.field(init=False, repr=False, compare=False)
     is_store: bool = dataclasses.field(init=False, repr=False, compare=False)
+    #: Ends a trace under the selection policy (``jalr`` and ``halt``).
+    ends_trace: bool = dataclasses.field(init=False, repr=False, compare=False)
     srcs: Tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
     dest: Optional[int] = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -193,6 +195,11 @@ class Instruction:
         )
         setattr_(self, "is_load", klass is InstrClass.LOAD)
         setattr_(self, "is_store", klass is InstrClass.STORE)
+        setattr_(
+            self,
+            "ends_trace",
+            klass is InstrClass.JUMP_INDIRECT or klass is InstrClass.HALT,
+        )
         setattr_(self, "srcs", self._compute_srcs())
         setattr_(self, "dest", self._compute_dest())
 

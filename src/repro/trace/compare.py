@@ -41,16 +41,20 @@ def first_divergence(
     not-taken/sequential fetch with BTB-predicted direct jumps: the
     first taken conditional branch or indirect jump diverges.
 
-    Returns None if the prediction matches the actual trace completely.
+    Returns None if the prediction matches the actual trace completely;
+    an exactly matching id (the common case) is answered without
+    walking the trace.
     """
     if predicted is None:
         return _fallback_divergence(actual)
+    if predicted == actual.trace_id:
+        return None
     if predicted.start_pc != actual.start_pc:
         return Divergence("boundary", -1)
     outcomes = predicted.outcomes
     position = 0
     for index, dyn in enumerate(actual.instructions):
-        if not dyn.is_branch:
+        if not dyn.instr.is_branch:
             continue
         if position >= len(outcomes) or outcomes[position] != dyn.taken:
             return Divergence("outcome", index)
@@ -60,8 +64,9 @@ def first_divergence(
 
 def _fallback_divergence(actual: CompletedTrace) -> Optional[Divergence]:
     for index, dyn in enumerate(actual.instructions):
-        if dyn.is_branch and dyn.taken:
+        instr = dyn.instr
+        if instr.is_branch and dyn.taken:
             return Divergence("outcome", index)
-        if dyn.instr.klass is InstrClass.JUMP_INDIRECT:
+        if instr.klass is InstrClass.JUMP_INDIRECT:
             return Divergence("outcome", index)
     return None

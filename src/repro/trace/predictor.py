@@ -113,9 +113,19 @@ class TracePredictor:
     def __init__(self, config: Optional[TracePredictorConfig] = None):
         self.config = config or TracePredictorConfig()
         size = self.config.table_size
+        self._mask = size - 1
         self._correlated = _Table(size, self.config.counter_max)
         self._simple = _Table(size, self.config.counter_max)
-        self._history: Deque[TraceId] = deque(maxlen=self.config.path_depth)
+        depth = self.config.path_depth
+        self._history: Deque[TraceId] = deque(maxlen=depth)
+        #: ``mix()`` of each id in ``_history``, computed once per id.
+        self._digests: Deque[int] = deque(maxlen=depth)
+        #: (keep mask, shift) per age, most recent id first.
+        self._age_masks = [
+            ((1 << max(self.config.index_bits - 2 * age, 4)) - 1, age & 0x3)
+            for age in range(depth)
+        ]
+        self._reindex()
         self.lookups = 0
         self.correlated_hits = 0
 
@@ -123,26 +133,21 @@ class TracePredictor:
     # Indexing.
     # ------------------------------------------------------------------
 
-    def _correlated_index(self) -> int:
-        """Hash the path history, favouring recent trace ids.
+    def _reindex(self) -> None:
+        """Hash the path history into both table indices.
 
         The most recent id contributes all of its bits; each older id is
         truncated harder and shifted, so recent path information
-        dominates the index (as in the DOLC scheme of [13]).
+        dominates the correlated index (as in the DOLC scheme of [13]).
+        The simple index is the most recent id alone.  Runs once per
+        history change, so ``lookup`` and ``update`` share the result.
         """
-        mask = self.config.table_size - 1
+        mask = self._mask
         acc = 0
-        for age, tid in enumerate(reversed(self._history)):
-            digest = tid.mix()
-            keep_bits = max(self.config.index_bits - 2 * age, 4)
-            acc ^= (digest & ((1 << keep_bits) - 1)) << (age & 0x3)
-        return acc & mask
-
-    def _simple_index(self) -> int:
-        mask = self.config.table_size - 1
-        if not self._history:
-            return 0
-        return self._history[-1].mix() & mask
+        for digest, (keep, shift) in zip(reversed(self._digests), self._age_masks):
+            acc ^= (digest & keep) << shift
+        self._correlated_index = acc & mask
+        self._simple_index = self._digests[-1] & mask if self._digests else 0
 
     # ------------------------------------------------------------------
     # Prediction / update.
@@ -156,7 +161,7 @@ class TracePredictor:
         Returns ``Lookup(None, None)`` when untrained.
         """
         self.lookups += 1
-        correlated = self._correlated.lookup(self._correlated_index())
+        correlated = self._correlated.lookup(self._correlated_index)
         if (
             correlated is not None
             and correlated.trace_id is not None
@@ -164,7 +169,7 @@ class TracePredictor:
         ):
             self.correlated_hits += 1
             return Lookup(correlated.trace_id, correlated)
-        simple = self._simple.lookup(self._simple_index())
+        simple = self._simple.lookup(self._simple_index)
         if simple is not None and simple.trace_id is not None:
             return Lookup(simple.trace_id, simple)
         return Lookup(None, None)
@@ -177,9 +182,11 @@ class TracePredictor:
         """Train both tables with the actual next trace, then shift it
         into the path history.  Returns the (correlated, simple) entries
         updated — the IR-predictor trains removal state on them."""
-        correlated = self._correlated.update(self._correlated_index(), actual)
-        simple = self._simple.update(self._simple_index(), actual)
+        correlated = self._correlated.update(self._correlated_index, actual)
+        simple = self._simple.update(self._simple_index, actual)
         self._history.append(actual)
+        self._digests.append(actual.mix())
+        self._reindex()
         return correlated, simple
 
     # ------------------------------------------------------------------
@@ -192,4 +199,7 @@ class TracePredictor:
     def restore_history(self, snapshot: List[TraceId]) -> None:
         """Back the predictor up to a precise point (IR-misprediction
         recovery re-synchronises the predictor to the R-stream's PC)."""
-        self._history = deque(snapshot, maxlen=self.config.path_depth)
+        depth = self.config.path_depth
+        self._history = deque(snapshot, maxlen=depth)
+        self._digests = deque([tid.mix() for tid in self._history], maxlen=depth)
+        self._reindex()

@@ -30,10 +30,6 @@ from repro.trace.trace_id import TraceId
 TRACE_LENGTH = 32
 
 
-def _terminates_trace(instr: Instruction) -> bool:
-    return instr.klass in (InstrClass.JUMP_INDIRECT, InstrClass.HALT)
-
-
 @dataclass
 class CompletedTrace:
     """A finished dynamic trace: its instructions and canonical id."""
@@ -56,7 +52,7 @@ class CompletedTrace:
 
 def trace_id_of(instructions: List[DynInstr]) -> TraceId:
     """Compute the canonical id of a completed dynamic trace."""
-    outcomes = tuple(d.taken for d in instructions if d.is_branch)
+    outcomes = tuple([d.taken for d in instructions if d.instr.is_branch])
     return TraceId(start_pc=instructions[0].pc, outcomes=outcomes)
 
 
@@ -72,7 +68,7 @@ class TraceSelector:
     def feed(self, dyn: DynInstr) -> Optional[CompletedTrace]:
         """Add one retired instruction; return a trace when one completes."""
         self._pending.append(dyn)
-        if len(self._pending) >= self.trace_length or _terminates_trace(dyn.instr):
+        if len(self._pending) >= self.trace_length or dyn.instr.ends_trace:
             return self._complete()
         return None
 
@@ -88,10 +84,25 @@ class TraceSelector:
         return trace
 
     def chunk(self, stream: Iterator[DynInstr]) -> Iterator[CompletedTrace]:
-        """Chunk an entire stream into traces."""
+        """Chunk an entire stream into traces.
+
+        Gives the same traces as :meth:`feed` per instruction then
+        :meth:`flush`, and resumes from anything ``feed`` left pending.
+        """
+        trace_length = self.trace_length
+        pending = self._pending
+        outcomes = [d.taken for d in pending if d.instr.is_branch]
         for dyn in stream:
-            trace = self.feed(dyn)
-            if trace is not None:
+            pending.append(dyn)
+            instr = dyn.instr
+            if instr.is_branch:
+                outcomes.append(dyn.taken)
+            if instr.ends_trace or len(pending) >= trace_length:
+                trace = CompletedTrace(
+                    pending, TraceId(pending[0].pc, tuple(outcomes))
+                )
+                pending = self._pending = []
+                outcomes = []
                 yield trace
         tail = self.flush()
         if tail is not None:

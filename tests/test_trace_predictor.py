@@ -1,5 +1,7 @@
 """Unit tests for the hybrid path-based trace predictor."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.trace.predictor import TracePredictor, TracePredictorConfig
 from repro.trace.trace_id import TraceId
 
@@ -90,3 +92,103 @@ class TestRecoverySupport:
             pred.update(tid(n))
         pred.restore_history(snap)
         assert pred.predict() == prediction_before
+
+
+class _ReferencePredictor:
+    """The predictor with both indices recomputed from the full history
+    at every lookup and update (the original, uncached formulation)."""
+
+    def __init__(self, config):
+        self.config = config
+        self.history = []
+        self.correlated = {}
+        self.simple = {}
+
+    def indices(self):
+        index_bits = self.config.index_bits
+        mask = (1 << index_bits) - 1
+        acc = 0
+        for age, t in enumerate(reversed(self.history)):
+            keep_bits = max(index_bits - 2 * age, 4)
+            acc ^= (t.mix() & ((1 << keep_bits) - 1)) << (age & 0x3)
+        simple = self.history[-1].mix() & mask if self.history else 0
+        return acc & mask, simple
+
+    def lookup(self):
+        correlated, simple = self.indices()
+        entry = self.correlated.get(correlated)
+        if entry is not None and entry[0] is not None and entry[1] > 0:
+            return entry[0], tuple(entry)
+        entry = self.simple.get(simple)
+        if entry is not None and entry[0] is not None:
+            return entry[0], tuple(entry)
+        return None, None
+
+    def _train(self, table, index, actual):
+        entry = table.setdefault(index, [None, 0])
+        if entry[0] == actual:
+            entry[1] = min(entry[1] + 1, self.config.counter_max)
+        else:
+            entry[1] -= 1
+            if entry[1] <= 0 or entry[0] is None:
+                entry[:] = [actual, 0]
+        return tuple(entry)
+
+    def update(self, actual):
+        correlated, simple = self.indices()
+        trained = (self._train(self.correlated, correlated, actual),
+                   self._train(self.simple, simple, actual))
+        self.history = (self.history + [actual])[-self.config.path_depth:]
+        return trained
+
+    def restore_history(self, snapshot):
+        self.history = list(snapshot)[-self.config.path_depth:]
+
+
+_TIDS = st.builds(
+    TraceId,
+    st.sampled_from([0x1000, 0x1004, 0x2040]),
+    st.lists(st.booleans(), max_size=3).map(tuple),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), _TIDS),
+        st.tuples(st.just("lookup"), st.none()),
+        st.tuples(st.just("restore"), st.lists(_TIDS, max_size=10)),
+    ),
+    max_size=60,
+)
+
+
+class TestCachedIndices:
+    """Indices cached per history change select the same entries as
+    indices recomputed from the history at every access."""
+
+    @given(st.sampled_from([4, 8, 16]), st.sampled_from([1, 3, 8]), _OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recomputed_indices(self, index_bits, path_depth, ops):
+        config = TracePredictorConfig(index_bits=index_bits,
+                                      path_depth=path_depth)
+        pred = TracePredictor(config)
+        ref = _ReferencePredictor(config)
+        for op, arg in ops:
+            if op == "update":
+                entries = pred.update(arg)
+                assert ([(e.trace_id, e.counter) for e in entries]
+                        == list(ref.update(arg)))
+            elif op == "restore":
+                # Empty, shorter than, and longer than the path depth.
+                pred.restore_history(arg)
+                ref.restore_history(arg)
+            else:
+                lookup = pred.lookup()
+                want_tid, want_entry = ref.lookup()
+                assert lookup.trace_id == want_tid
+                got_entry = (None if lookup.entry is None else
+                             (lookup.entry.trace_id, lookup.entry.counter))
+                assert got_entry == want_entry
+            assert pred.history_snapshot() == ref.history
+            # Behaviour alone cannot tell two alias-free index functions
+            # apart, so the cached indices are checked directly too.
+            assert ((pred._correlated_index, pred._simple_index)
+                    == ref.indices())

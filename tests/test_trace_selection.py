@@ -1,9 +1,12 @@
 """Unit tests for trace selection, trace ids, and static trace expansion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch.functional import FunctionalSimulator
 from repro.isa.assembler import assemble
+from repro.isa.instructions import InstrClass
+from repro.trace.compare import Divergence, first_divergence
 from repro.trace.selection import (
     StaticTraceWalker,
     TraceExpansionError,
@@ -23,6 +26,75 @@ loop:
     bne  r1, r0, loop
     halt
 """
+
+
+@st.composite
+def _call_loop_text(draw):
+    """Random loop mixing ALU ops, LCG-driven conditional branches,
+    direct jumps and ``jal``/``jalr`` calls, ending in ``halt``: every
+    way a trace can grow or end under the selection policy."""
+    lines = [
+        "main:",
+        f"    addi r5, r0, {draw(st.integers(1, 60000))}",
+        f"    addi r1, r0, {draw(st.integers(2, 12))}",
+        "loop:",
+    ]
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["alu", "branch", "jump", "call"]))
+        if kind == "alu":
+            lines.append(f"    add r{draw(st.integers(2, 4))}, r2, r3")
+        elif kind == "branch":
+            lines += ["    lui  r6, 0x41c6",
+                      "    ori  r6, r6, 0x4e6d",
+                      "    mul  r5, r5, r6",
+                      "    addi r5, r5, 12345",
+                      f"    srli r7, r5, {draw(st.integers(20, 28))}",
+                      "    andi r7, r7, 1",
+                      f"    beq  r7, r0, skip{i}",
+                      "    addi r2, r2, 1",
+                      f"skip{i}:"]
+        elif kind == "jump":
+            lines += [f"    j over{i}", "    nop", f"over{i}:"]
+        else:
+            lines.append("    jal r31, func")
+    lines += ["    addi r1, r1, -1",
+              "    bne  r1, r0, loop",
+              "    halt",
+              "func:",
+              "    addi r9, r9, 1",
+              "    jalr r0, r31"]
+    return "\n".join(lines)
+
+
+def _reference_traces(stream, trace_length):
+    """Chunk a stream one ``feed`` at a time, then ``flush``."""
+    selector = TraceSelector(trace_length)
+    traces = [t for t in map(selector.feed, stream) if t is not None]
+    tail = selector.flush()
+    return traces + ([tail] if tail is not None else [])
+
+
+def _walk_divergence(predicted, actual):
+    """``first_divergence`` without the exact-match shortcut: every
+    prediction is answered by walking the actual trace."""
+    if predicted is None:
+        for index, dyn in enumerate(actual.instructions):
+            if dyn.instr.is_branch and dyn.taken:
+                return Divergence("outcome", index)
+            if dyn.instr.klass is InstrClass.JUMP_INDIRECT:
+                return Divergence("outcome", index)
+        return None
+    if predicted.start_pc != actual.start_pc:
+        return Divergence("boundary", -1)
+    position = 0
+    for index, dyn in enumerate(actual.instructions):
+        if not dyn.instr.is_branch:
+            continue
+        if (position >= len(predicted.outcomes)
+                or predicted.outcomes[position] != dyn.taken):
+            return Divergence("outcome", index)
+        position += 1
+    return None
 
 
 def traces_of(source, trace_length=TRACE_LENGTH):
@@ -90,6 +162,69 @@ class TestTraceSelector:
             selector2.feed(dyn)
         tail = selector2.flush()
         assert tail is not None and len(tail) == 2
+
+
+class TestChunkMatchesFeed:
+    """``chunk`` is the ``feed``/``flush`` loop, trace for trace."""
+
+    @given(_call_loop_text(), st.sampled_from([1, 5, 32]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_equals_feed_reference(self, source, trace_length, data):
+        stream = list(FunctionalSimulator(assemble(source)).steps())
+        assert stream[-1].instr.klass is InstrClass.HALT
+        # The full stream ends in halt; a shorter one is cut mid-trace.
+        cut = data.draw(st.integers(1, len(stream)), label="cut")
+        got = list(TraceSelector(trace_length).chunk(iter(stream[:cut])))
+        want = _reference_traces(stream[:cut], trace_length)
+        assert [t.trace_id for t in got] == [t.trace_id for t in want]
+        assert [t.instructions for t in got] == [t.instructions for t in want]
+
+    def test_chunk_resumes_after_feed(self):
+        stream = list(FunctionalSimulator(assemble(LOOP_PROGRAM)).steps())
+        whole = list(TraceSelector(32).chunk(iter(stream)))
+        # Stop feeding right after the first bne, so a branch is pending.
+        first_branch = next(i for i, d in enumerate(stream) if d.is_branch)
+        for split in (1, first_branch + 1, first_branch + 3):
+            selector = TraceSelector(32)
+            for dyn in stream[:split]:
+                assert selector.feed(dyn) is None
+            resumed = list(selector.chunk(iter(stream[split:])))
+            assert [t.trace_id for t in resumed] == [t.trace_id for t in whole]
+            assert ([t.instructions for t in resumed]
+                    == [t.instructions for t in whole])
+
+    def test_ends_trace_flag(self):
+        program = assemble("main: jal r31, f\nhalt\nf: jalr r0, r31")
+        assert [i.ends_trace for i in program.instructions] == [
+            False, True, True]
+
+
+class TestDivergenceFastPath:
+    """The exact-match shortcut answers as the full walk would."""
+
+    @given(_call_loop_text(), st.sampled_from([1, 5, 32]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_full_walk(self, source, trace_length):
+        _, traces = traces_of(source, trace_length)
+        for trace in traces:
+            tid = trace.trace_id
+            outcomes = tid.outcomes
+            candidates = [
+                None,
+                tid,
+                TraceId(tid.start_pc, outcomes),
+                TraceId(tid.start_pc + 4, outcomes),
+                TraceId(tid.start_pc, outcomes + (True,)),
+                TraceId(tid.start_pc, outcomes[:-1]),
+            ]
+            candidates += [
+                TraceId(tid.start_pc,
+                        outcomes[:k] + (not outcomes[k],) + outcomes[k + 1:])
+                for k in range(len(outcomes))
+            ]
+            for predicted in candidates:
+                assert (first_divergence(predicted, trace)
+                        == _walk_divergence(predicted, trace))
 
 
 class TestTraceId:
