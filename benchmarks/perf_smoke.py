@@ -231,9 +231,9 @@ def serve_main(args) -> int:
     handle = start_server_thread(jobs=args.jobs, backend=args.backend)
     try:
         cold_wall, cold_results = _serve_clients(handle.port, batches)
-        cold_stats = dict(handle.service.stats.__dict__)
+        cold_stats = _health_stats(handle.port)
         warm_wall, _ = _serve_clients(handle.port, batches)
-        warm_stats = dict(handle.service.stats.__dict__)
+        warm_stats = _health_stats(handle.port)
 
         # Warm aggregate throughput at increasing client counts.
         throughput = {}
@@ -307,6 +307,17 @@ def serve_main(args) -> int:
               "(cache broken)", file=sys.stderr)
         return 1
     return 0
+
+
+def _health_stats(port: int):
+    """The ``/v1/health`` job counters of the daemon on ``port``."""
+    from repro.eval.serve import ServeClient
+
+    client = ServeClient(port=port)
+    try:
+        return client.health()["stats"]
+    finally:
+        client.close()
 
 
 def _spawn_worker_daemon(tmp: str, tag: str, jobs: int = 2):
@@ -411,12 +422,8 @@ def federation_main(args) -> int:
                 client = ServeClient(port=front.port)
 
                 def fleet_sims():
-                    total = 0
-                    for _, port in workers:
-                        probe = ServeClient(port=port)
-                        total += probe.health()["stats"]["simulated"]
-                        probe.close()
-                    return total
+                    return sum(_health_stats(port)["simulated"]
+                               for _, port in workers)
 
                 sims_start = fleet_sims()
                 w0 = time.perf_counter()

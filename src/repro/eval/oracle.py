@@ -138,11 +138,9 @@ class DurationOracle:
     def rank_longest_first(self, specs):
         """``specs`` sorted longest-expected-first (stable).
 
-        The LJF submission order shared by the runner's pool path and
-        the federation dispatcher's per-worker queues
-        (:mod:`repro.eval.remote`): draining the expensive jobs first
-        keeps a pool — or a fleet — from idling behind one straggler
-        discovered late.
+        The runner pool path's LJF submission order: draining the
+        expensive jobs first keeps a pool from idling behind one
+        straggler discovered late.
         """
         return sorted(specs, key=lambda s: self.estimate(s.key),
                       reverse=True)

@@ -1,8 +1,8 @@
 """Remote execution and daemon federation: the eval stack as a fleet.
 
 The slipstream paper scales throughput by spreading redundant contexts
-over a CMP's processing elements; this module makes the eval stack
-scale the same way over *machines*.  Two layers:
+over a CMP's processing elements; this module lets the eval stack
+spread jobs over *machines*.  Two layers:
 
 * :class:`RemoteBackend` — a :class:`~repro.eval.backends.WorkerBackend`
   whose "pool" is an eval daemon (:mod:`repro.eval.serve`) somewhere
@@ -19,30 +19,26 @@ scale the same way over *machines*.  Two layers:
   ``/v1/health`` code fingerprint must equal ours, because neither
   pickles nor digests are comparable across simulator versions.
 
-* :class:`FederationBackend` — a front daemon's backend composing N
-  :class:`RemoteBackend` workers plus a local fallback pool.  Jobs are
-  sharded by :func:`~repro.eval.jobs.cache_entry_digest` — the *same*
-  digest that shards the disk cache — so a job always lands on the
-  worker whose disk cache is warm for it.  Each worker has a
-  longest-job-first queue ordered by the
-  :class:`~repro.eval.oracle.DurationOracle`'s learned estimates; a
-  pump thread per worker drains its queue in pipelined batches and,
-  when its own queue runs dry, *steals from the tail* (the cheapest
-  jobs) of a peer backlogged beyond a full dispatch window — stealing
-  moves a job off its cache-warm home, so it only pays against a real
-  backlog.  A worker dying mid-batch marks it
-  dead, and its un-acked jobs — queued or in flight without a result
-  line — migrate to the survivors (bounded by the
-  :class:`~repro.eval.resilience.RetryPolicy`'s retry budget), never
-  losing or double-counting a result: a job whose result line already
-  streamed back resolved its future and is not requeued.  With zero
-  live workers the federation degrades gracefully to the local
-  backend.
+* :class:`FederationBackend` — a front daemon's backend routing jobs
+  over N :class:`RemoteBackend` workers plus a local fallback pool.
+  Each job goes straight to its *home* worker, picked by
+  :func:`~repro.eval.jobs.cache_entry_digest` — the *same* digest that
+  shards the disk cache — so a job always lands on the worker whose
+  disk cache is warm for it; a dead home falls through in ring order.
+  The federation keeps no queue and starts no thread: batching is the
+  remote backend's, and a done-callback forwards each outcome.  A
+  worker that fails a job un-acked (``BrokenExecutor``, or a stream
+  that closed without its result line) is marked dead and the job
+  moves to the next live worker, each move counting against the
+  :class:`~repro.eval.resilience.RetryPolicy`'s retry budget.  A job
+  whose result line already streamed back resolved its future and is
+  never moved, so no result is lost or double-counted.  With zero live
+  workers the federation degrades to the local backend.
 
 Everything is observable through the shared obs
 :class:`~repro.obs.registry.MetricsRegistry` (``federation.*``
-counters, per-worker queue-depth gauges), surfaced by the front
-daemon's ``/v1/metrics`` endpoint.
+counters and the live-worker gauge), surfaced by the front daemon's
+``/v1/metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -53,17 +49,14 @@ import os
 import pickle
 import threading
 import time
-from bisect import insort
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import CancelledError as FutureCancelledError
-from concurrent.futures import as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.eval.backends import WorkerBackend, resolve_backend
 from repro.eval.jobs import JobSpec, cache_entry_digest, code_fingerprint, job_label
-from repro.eval.oracle import DurationOracle
 from repro.eval.resilience import RetryPolicy
 from repro.eval.serve import (
     ServeClient,
@@ -76,8 +69,6 @@ from repro.obs.registry import MetricsRegistry
 
 #: Jobs coalesced into one pipelined ``/v1/submit`` round trip.
 PIPELINE_DEPTH = 64
-#: Per-worker in-flight window of the federation dispatcher.
-FEDERATION_BATCH = 16
 #: Environment variable naming the default remote daemon (HOST:PORT).
 REMOTE_ENV = "REPRO_EVAL_REMOTE"
 
@@ -377,54 +368,36 @@ class RemoteBackend(WorkerBackend):
 
 
 @dataclass
-class _FedEntry:
-    """One federated job: outer future plus migration bookkeeping."""
-
-    spec: JobSpec
-    future: "Future"
-    estimate: float
-    attempts: int = 0
-
-
-@dataclass
 class _FedWorker:
-    """One remote worker daemon's queue and liveness state."""
+    """One remote worker daemon and its liveness state."""
 
-    index: int
     url: str
     backend: RemoteBackend
-    queue: List[_FedEntry] = field(default_factory=list)
     alive: bool = False
     error: Optional[str] = None
     dispatched: int = 0
 
 
 class FederationBackend(WorkerBackend):
-    """Shard jobs across worker daemons; survive their deaths.
+    """Route jobs to worker daemons by cache digest; survive their deaths.
 
     Composes N :class:`RemoteBackend` workers behind the one
     :class:`~repro.eval.backends.WorkerBackend` surface the eval
-    service already drives.  Dispatch policy:
+    service already drives:
 
     * **Home worker by cache digest.**  ``cache_entry_digest(key)`` —
       the digest that shards the disk cache — picks the home worker,
       so re-runs of a grid land each job back on the worker whose
       cache already holds it.  A dead home falls through to the next
-      live worker in ring order.
-    * **Longest-job-first queues.**  Each worker's queue is kept
-      sorted by the duration oracle's estimate; pumps drain from the
-      front (the expensive jobs) so no worker idles behind a late
-      straggler.
-    * **Work stealing.**  A pump whose queue is empty steals the
-      *tail* (cheapest jobs) of the most-loaded live peer's queue —
-      but only from a peer backlogged beyond one dispatch window,
-      because a stolen job runs against a cache-cold worker.
-    * **Migration.**  A worker failure requeues its un-acked jobs on
-      the survivors, each migration counting against the retry
-      policy's budget; with no survivors the jobs run on the local
-      fallback backend.  Jobs whose result line already streamed back
-      are resolved and never requeued — no result is lost or double
-      counted.
+      live worker in ring order.  The job is submitted to that
+      worker's backend at once; the backend does the batching.
+    * **Moving off a dead worker.**  A job failed un-acked by its
+      worker (``BrokenExecutor`` or :class:`RemoteProtocolError`)
+      marks the worker dead and is sent to the next live worker, each
+      move counting against the retry policy's budget; with no live
+      worker left it runs on the local fallback backend.  Per-job
+      outcomes (:class:`RemoteJobError`, :class:`WorkerDigestError`,
+      codec errors) reach the caller and are never moved.
 
     ``can_crash`` is False: worker death is handled *inside* the
     backend; the service never sees a broken pool.
@@ -438,7 +411,6 @@ class FederationBackend(WorkerBackend):
         urls: Sequence[str],
         local: Union[str, WorkerBackend, None] = None,
         policy: Optional[RetryPolicy] = None,
-        oracle: Optional[DurationOracle] = None,
         metrics: Optional[MetricsRegistry] = None,
         timeout: float = 600.0,
     ):
@@ -446,27 +418,19 @@ class FederationBackend(WorkerBackend):
         if not urls:
             raise ValueError("federation needs at least one worker URL")
         self.policy = policy if policy is not None else RetryPolicy()
-        self.oracle = oracle if oracle is not None else DurationOracle(None)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.timeout = timeout
-        self._fleet = [
-            _FedWorker(index, url, RemoteBackend(url, timeout=timeout))
-            for index, url in enumerate(urls)
-        ]
+        self._fleet = [_FedWorker(url, RemoteBackend(url, timeout=timeout))
+                       for url in urls]
         self._local = resolve_backend(local, default="thread")
         self._local_jobs = 1
         self._local_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
         self._running = False
-        self._threads: List[threading.Thread] = []
         for counter in ("federation.jobs_forwarded", "federation.jobs_local",
-                        "federation.jobs_migrated", "federation.jobs_stolen",
+                        "federation.jobs_migrated",
                         "federation.worker_failures"):
             self.metrics.counter(counter)
         self.metrics.gauge("federation.workers_alive")
-        for worker in self._fleet:
-            self.metrics.gauge(f"federation.queue_depth.{worker.index}")
 
     # -- lifecycle ------------------------------------------------------
 
@@ -491,7 +455,6 @@ class FederationBackend(WorkerBackend):
         if self._running:
             raise RuntimeError("federation backend already running")
         self._local_jobs = max(1, workers)
-        alive = 0
         for worker in self._fleet:
             try:
                 worker.backend.start(1)
@@ -502,43 +465,25 @@ class FederationBackend(WorkerBackend):
             else:
                 worker.alive = True
                 worker.error = None
-                alive += 1
-        self.metrics.gauge("federation.workers_alive").set(alive)
+        self.metrics.gauge("federation.workers_alive").set(
+            sum(1 for w in self._fleet if w.alive)
+        )
         self._running = True
-        self._threads = []
-        for worker in self._fleet:
-            if not worker.alive:
-                continue
-            thread = threading.Thread(
-                target=self._pump, args=(worker,),
-                name=f"repro-fed-pump-{worker.index}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
 
     def shutdown(self, wait: bool = False) -> None:
-        with self._wake:
+        """Stop every worker backend (their pending futures cancel, and
+        so do the callers') and the local pool."""
+        with self._lock:
             self._running = False
-            leftovers: List[_FedEntry] = []
-            for worker in self._fleet:
-                leftovers.extend(worker.queue)
-                worker.queue.clear()
-            self._wake.notify_all()
-        for entry in leftovers:
-            entry.future.cancel()
         for worker in self._fleet:
             if worker.backend.running:
                 worker.backend.shutdown(wait=wait)
-        threads, self._threads = self._threads, []
-        if wait:
-            for thread in threads:
-                thread.join(timeout=self.timeout)
         with self._local_lock:
             if self._local.running:
                 self._local.shutdown(wait=wait)
         self._workers = 0
 
-    # -- submission -----------------------------------------------------
+    # -- routing --------------------------------------------------------
 
     def submit(self, spec: JobSpec,
                timeout_seconds: Optional[float] = None) -> "Future":
@@ -549,16 +494,9 @@ class FederationBackend(WorkerBackend):
         except SpecError:
             # Not expressible on the wire: the local pool runs it.
             return self._submit_local(spec, timeout_seconds)
-        with self._wake:
-            worker = self._home_worker(spec)
-            if worker is not None:
-                entry = _FedEntry(spec, Future(),
-                                  self.oracle.estimate(spec.key))
-                self._enqueue(worker, entry)
-                self._wake.notify_all()
-                return entry.future
-        # Zero live workers: graceful degradation to local execution.
-        return self._submit_local(spec, timeout_seconds)
+        outer: Future = Future()
+        self._send(spec, outer, timeout_seconds, moves=0)
+        return outer
 
     def _home_worker(self, spec: JobSpec) -> Optional[_FedWorker]:
         """The job's digest-sharded home, or the next live worker in
@@ -570,126 +508,63 @@ class FederationBackend(WorkerBackend):
                 return worker
         return None
 
-    def _enqueue(self, worker: _FedWorker, entry: _FedEntry) -> None:
-        """Insert keeping the queue longest-estimate-first (lock held)."""
-        insort(worker.queue, entry, key=lambda e: -e.estimate)
-        self.metrics.gauge(
-            f"federation.queue_depth.{worker.index}"
-        ).set(len(worker.queue))
-
-    def _submit_local(self, spec: JobSpec,
-                      timeout_seconds: Optional[float]) -> "Future":
-        with self._local_lock:
-            self.metrics.counter("federation.jobs_local").inc()
-            if not self._local.running:
-                self._local.start(self._local_jobs)
-            return self._local.submit(spec, timeout_seconds)
-
-    # -- the per-worker pump --------------------------------------------
-
-    def _pump(self, worker: _FedWorker) -> None:
-        """Drain one worker's queue in pipelined batches; steal when
-        dry; hand the worker's jobs to the survivors when it dies."""
-        while True:
-            with self._wake:
-                while (self._running and worker.alive
-                       and not worker.queue
-                       and self._steal_victim(worker) is None):
-                    self._wake.wait(timeout=0.25)
-                if not self._running or not worker.alive:
-                    return
-                batch = self._take_batch(worker)
-            if batch:
-                self._dispatch(worker, batch)
-
-    def _steal_victim(self, worker: _FedWorker) -> Optional[_FedWorker]:
-        """The most-loaded live peer worth stealing from (lock held).
-
-        A steal moves a job off its digest-sharded home, so the
-        executing worker's cache is cold for it — re-running the grid
-        later would re-simulate it.  Stealing therefore only kicks in
-        when a peer is backlogged beyond a full dispatch window (more
-        queued than it can even start): below that, cache affinity is
-        worth more than the rebalance.
-        """
-        victim = None
-        for peer in self._fleet:
-            if (peer is worker or not peer.alive
-                    or len(peer.queue) <= FEDERATION_BATCH):
-                continue
-            if victim is None or len(peer.queue) > len(victim.queue):
-                victim = peer
-        return victim
-
-    def _take_batch(self, worker: _FedWorker) -> List[_FedEntry]:
-        """Up to FEDERATION_BATCH entries: own queue front (longest
-        jobs first), else the tail (cheapest jobs) of the most-loaded
-        live peer (lock held)."""
-        batch = worker.queue[:FEDERATION_BATCH]
-        if batch:
-            del worker.queue[:len(batch)]
-            self.metrics.gauge(
-                f"federation.queue_depth.{worker.index}"
-            ).set(len(worker.queue))
-            return batch
-        victim = self._steal_victim(worker)
-        if victim is None:
-            return []
-        steal = max(1, min(len(victim.queue) // 2, FEDERATION_BATCH))
-        batch = victim.queue[-steal:]
-        del victim.queue[-steal:]
-        self.metrics.counter("federation.jobs_stolen").inc(len(batch))
-        self.metrics.gauge(
-            f"federation.queue_depth.{victim.index}"
-        ).set(len(victim.queue))
-        return batch
-
-    def _dispatch(self, worker: _FedWorker, batch: List[_FedEntry]) -> None:
-        """Submit one batch to ``worker``, resolving outer futures in
-        completion order; collect the un-acked on failure."""
+    def _send(self, spec: JobSpec, outer: "Future",
+              timeout_seconds: Optional[float], moves: int) -> None:
+        """Submit ``spec`` to its live home (the local pool when the
+        fleet is dead) and forward the outcome to ``outer``."""
         with self._lock:
-            self.metrics.counter("federation.jobs_forwarded").inc(len(batch))
-            worker.dispatched += len(batch)
-        inner: Dict["Future", _FedEntry] = {}
-        failed: List[_FedEntry] = []
-        failure: Optional[BaseException] = None
-        for entry in batch:
-            try:
-                inner[worker.backend.submit(entry.spec, None)] = entry
-            except Exception as exc:  # noqa: BLE001 - broken worker
-                failed.append(entry)
-                failure = exc
-        for future in as_completed(inner):
-            entry = inner[future]
-            try:
-                value = future.result()
-            except FutureCancelledError:
-                entry.future.cancel()
-            except (BrokenExecutor, RemoteProtocolError) as exc:
-                # Un-acked on a dying worker: candidate for migration.
-                failed.append(entry)
-                failure = exc
-            except Exception as exc:  # noqa: BLE001 - surfaced per-job
-                # RemoteJobError / WorkerDigestError / codec errors:
-                # real per-job outcomes, never migrated (a digest
-                # mismatch on another worker would mask the bug).
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
+            worker = self._home_worker(spec)
+            if worker is not None:
+                worker.dispatched += 1
+                self.metrics.counter("federation.jobs_forwarded").inc()
+        try:
+            if worker is None:
+                inner = self._submit_local(spec, timeout_seconds)
             else:
-                if not entry.future.done():
-                    entry.future.set_result(value)
-        if failed:
-            self._worker_failed(worker, failed, failure)
+                inner = worker.backend.submit(spec, None)
+        except Exception as exc:  # noqa: BLE001 - forwarded or moved
+            if worker is None:
+                outer.set_exception(exc)
+            else:
+                self._move(worker, spec, outer, timeout_seconds, moves, exc)
+            return
+        inner.add_done_callback(
+            lambda done: self._settle(done, outer, worker, spec,
+                                      timeout_seconds, moves)
+        )
 
-    def _worker_failed(self, worker: _FedWorker, unacked: List[_FedEntry],
-                       cause: Optional[BaseException]) -> None:
-        """Mark ``worker`` dead and migrate every un-acked job — the
-        failed batch entries plus whatever was still queued — to the
-        survivors (or the local pool when none remain)."""
-        reason = (f"{type(cause).__name__}: {cause}" if cause is not None
-                  else "worker failed")
-        local_fallback: List[_FedEntry] = []
-        with self._wake:
+    def _settle(self, done: "Future", outer: "Future",
+                worker: Optional[_FedWorker], spec: JobSpec,
+                timeout_seconds: Optional[float], moves: int) -> None:
+        """Done-callback of one attempt: forward its outcome, or move
+        the job on when a remote worker failed it un-acked."""
+        if outer.done():
+            return
+        try:
+            value = done.result()
+        except FutureCancelledError:
+            outer.cancel()
+        except (BrokenExecutor, RemoteProtocolError) as exc:
+            if worker is None:
+                outer.set_exception(exc)
+            else:
+                self._move(worker, spec, outer, timeout_seconds, moves, exc)
+        except BaseException as exc:  # noqa: BLE001 - a per-job outcome
+            # RemoteJobError / WorkerDigestError / codec errors are the
+            # job's own result: never moved (a digest mismatch retried
+            # on another worker would mask the bug).
+            outer.set_exception(exc)
+        else:
+            outer.set_result(value)
+
+    def _move(self, worker: _FedWorker, spec: JobSpec, outer: "Future",
+              timeout_seconds: Optional[float], moves: int,
+              cause: BaseException) -> None:
+        """Mark ``worker`` dead and send ``spec`` to the next live
+        worker (or the local pool), within the retry budget."""
+        reason = f"{type(cause).__name__}: {cause}"
+        exhausted = moves >= self.policy.max_retries
+        with self._lock:
             if worker.alive:
                 worker.alive = False
                 worker.error = reason
@@ -697,63 +572,29 @@ class FederationBackend(WorkerBackend):
                 self.metrics.gauge("federation.workers_alive").set(
                     sum(1 for w in self._fleet if w.alive)
                 )
-            entries = unacked + worker.queue[:]
-            worker.queue.clear()
-            self.metrics.gauge(
-                f"federation.queue_depth.{worker.index}"
-            ).set(0)
+            running = self._running
+            if running and not exhausted:
+                self.metrics.counter("federation.jobs_migrated").inc()
+        if not running:
+            outer.cancel()
+        elif exhausted:
+            outer.set_exception(BrokenExecutor(
+                f"job {job_label(spec.key)} exhausted "
+                f"{self.policy.max_retries} migrations; last worker "
+                f"failure: {reason}"
+            ))
+        else:
+            self._send(spec, outer, timeout_seconds, moves + 1)
+
+    def _submit_local(self, spec: JobSpec,
+                      timeout_seconds: Optional[float]) -> "Future":
+        with self._local_lock:
             if not self._running:
-                for entry in entries:
-                    entry.future.cancel()
-                entries = []
-            migrated = 0
-            for entry in entries:
-                entry.attempts += 1
-                if entry.attempts > self.policy.max_retries:
-                    if not entry.future.done():
-                        entry.future.set_exception(BrokenExecutor(
-                            f"job {job_label(entry.spec.key)} exhausted "
-                            f"{self.policy.max_retries} migrations; last "
-                            f"worker failure: {reason}"
-                        ))
-                    continue
-                target = self._home_worker(entry.spec)
-                if target is None:
-                    local_fallback.append(entry)
-                    continue
-                self._enqueue(target, entry)
-                migrated += 1
-            if migrated:
-                self.metrics.counter("federation.jobs_migrated").inc(migrated)
-                self._wake.notify_all()
-        if worker.backend.running:
-            worker.backend.shutdown(wait=False)
-        for entry in local_fallback:
-            self.metrics.counter("federation.jobs_migrated").inc()
-            self._chain_local(entry)
-
-    def _chain_local(self, entry: _FedEntry) -> None:
-        """Run one migrated job on the local fallback pool, forwarding
-        its outcome to the outer future."""
-        try:
-            inner = self._submit_local(entry.spec,
-                                       self.policy.timeout_seconds)
-        except Exception as exc:  # noqa: BLE001 - forwarded to caller
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-            return
-
-        def forward(done: "Future", outer: "Future" = entry.future) -> None:
-            if outer.done():
-                return
-            try:
-                outer.set_result(done.result())
-            except FutureCancelledError:
-                outer.cancel()
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                outer.set_exception(exc)
-
-        inner.add_done_callback(forward)
+                raise RuntimeError("federation backend is not running")
+            self.metrics.counter("federation.jobs_local").inc()
+            if not self._local.running:
+                self._local.start(self._local_jobs)
+            return self._local.submit(spec, timeout_seconds)
 
     # -- introspection --------------------------------------------------
 
@@ -765,7 +606,6 @@ class FederationBackend(WorkerBackend):
                 {
                     "url": worker.url,
                     "alive": worker.alive,
-                    "queue_depth": len(worker.queue),
                     "dispatched": worker.dispatched,
                     "error": worker.error,
                 }
@@ -774,7 +614,6 @@ class FederationBackend(WorkerBackend):
 
 
 __all__ = [
-    "FEDERATION_BATCH",
     "FederationBackend",
     "PIPELINE_DEPTH",
     "REMOTE_ENV",

@@ -25,8 +25,8 @@ Three properties carry the design:
   :class:`~repro.eval.backends.WorkerBackend`.  On a 1-CPU box the
   daemon still wins through dedup and cache hits (run ``--jobs 1
   --backend thread``); on multi-core the spawned pool gives real
-  parallelism.  All service state (in-flight table, stats) lives on
-  the single event loop thread, so no locks are needed around it.
+  parallelism.  All service state (in-flight table, counters) lives
+  on the single event loop thread, so no locks are needed around it.
 
 Wire protocol (HTTP/1.1, persistent ``keep-alive`` connections; the
 daemon answers every well-formed request with ``Connection:
@@ -44,19 +44,22 @@ only on client request, protocol errors, or the idle timeout):
   recomputed from the unpickled object — the cross-machine
   correctness gate).  Malformed requests get a ``400`` with
   ``{"ok": false, "error": ...}``.
-* ``GET /v1/health`` — backend, worker count, in-flight size, counters,
-  the code fingerprint (version gate for federation), and per-worker
-  federation state when the daemon fronts a fleet.
+* ``GET /v1/health`` — backend, worker count, in-flight size, the
+  code fingerprint (version gate for federation), per-worker
+  federation state when the daemon fronts a fleet, and ``"stats"``:
+  eight job counters read from the ``serve.*`` registry counters
+  (``submitted`` is ``serve.jobs_submitted``, ``deduped`` is
+  ``serve.dedup_joins``, the rest share their names).
 * ``GET /v1/metrics`` — the obs :class:`~repro.obs.registry.MetricsRegistry`
   snapshot (``serve.*`` service counters plus ``federation.*`` fleet
-  counters) as canonical JSON.
+  counters) as canonical JSON.  Each event is counted once, there.
 * ``POST /v1/shutdown`` — acknowledge, then stop the daemon.
 
 **Federation**: started with ``--worker URL`` (repeatable), the daemon
-becomes a *front*: submitted jobs are sharded across the worker
-daemons by the same key digest that shards the disk cache, results
-stream back merged in completion order, and worker failures migrate
-un-acked jobs to the survivors (see :mod:`repro.eval.remote`).
+becomes a *front*: each submitted job is routed to a worker daemon by
+the same key digest that shards the disk cache, results stream back
+merged in completion order, and a job a dying worker never answered
+moves to the next live worker (see :mod:`repro.eval.remote`).
 
 :class:`ServeClient` is the stdlib (``http.client``) client used by the
 tests, the stress benchmark, CI's serve-smoke job, and the remote
@@ -79,7 +82,7 @@ import pickle
 import signal
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import (
@@ -459,25 +462,24 @@ def error_payload(index: int, key: JobKey, exc: BaseException) -> Dict[str, Any]
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ServiceStats:
-    """Lifetime counters, reported by ``/v1/health``."""
-
-    batches: int = 0
-    submitted: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    deduped: int = 0
-    simulated: int = 0
-    retries: int = 0
-    failures: int = 0
+#: ``/v1/health`` ``"stats"`` key -> the ``serve.*`` counter it reads.
+HEALTH_STATS = {
+    "batches": "serve.batches",
+    "submitted": "serve.jobs_submitted",
+    "memory_hits": "serve.memory_hits",
+    "disk_hits": "serve.disk_hits",
+    "deduped": "serve.dedup_joins",
+    "simulated": "serve.simulated",
+    "retries": "serve.retries",
+    "failures": "serve.failures",
+}
 
 
 class EvalService:
     """Job execution shared by every connection of one daemon.
 
-    All mutable state (the in-flight table, the stats counters, the
-    memory cache adoption) is touched only from the event loop thread;
+    All mutable state (the in-flight table, the ``serve.*`` counters,
+    the memory cache adoption) is touched only from the event loop thread;
     worker attempts run on the backend and blocking disk I/O on
     ``asyncio.to_thread``, both rejoined via await.
     """
@@ -496,17 +498,13 @@ class EvalService:
         self.oracle = DurationOracle.for_cache_root(
             self.disk.root if self.disk is not None else None
         )
-        self.stats = ServiceStats()
         self.metrics = MetricsRegistry()
-        for name in ("serve.connections", "serve.requests", "serve.batches",
-                     "serve.jobs_submitted", "serve.jobs_served",
-                     "serve.dedup_joins", "serve.memory_hits",
-                     "serve.disk_hits", "serve.simulated", "serve.retries",
-                     "serve.failures"):
+        for name in ("serve.connections", "serve.requests",
+                     "serve.jobs_served", *HEALTH_STATS.values()):
             self.metrics.counter(name)
         self.metrics.gauge("serve.inflight")
         if workers:
-            # Federation front: shard jobs across worker daemons; the
+            # Federation front: route jobs to worker daemons; the
             # requested backend becomes the local fallback pool for
             # non-remotable jobs and dead-fleet degradation.
             from repro.eval.remote import FederationBackend
@@ -515,7 +513,6 @@ class EvalService:
                 workers,
                 local=resolve_backend(backend, default="thread"),
                 policy=self.policy,
-                oracle=self.oracle,
                 metrics=self.metrics,
             )
         else:
@@ -545,7 +542,6 @@ class EvalService:
         key = spec.key
         existing = self._inflight.get(key)
         if existing is not None:
-            self.stats.deduped += 1
             self.metrics.counter("serve.dedup_joins").inc()
             return existing, True
         task = asyncio.ensure_future(self._compute(spec))
@@ -570,14 +566,12 @@ class EvalService:
         key = spec.key
         cached = models._CACHE.get(key)
         if cached is not None:
-            self.stats.memory_hits += 1
             self.metrics.counter("serve.memory_hits").inc()
             return "memory", cached, 0.0, 0.0
         if self.disk is not None:
             hit = await asyncio.to_thread(self.disk.load, key)
             if hit is not MISS:
                 models._CACHE[key] = hit
-                self.stats.disk_hits += 1
                 self.metrics.counter("serve.disk_hits").inc()
                 return "disk", hit, 0.0, 0.0
         attempt = 0
@@ -593,11 +587,9 @@ class EvalService:
                 if self.backend.can_crash and self.backend.broken():
                     self.backend.shutdown(wait=False)
                 if attempt >= self.policy.max_retries:
-                    self.stats.failures += 1
                     self.metrics.counter("serve.failures").inc()
                     raise
                 attempt += 1
-                self.stats.retries += 1
                 self.metrics.counter("serve.retries").inc()
                 await asyncio.sleep(self.policy.backoff_seconds(attempt))
                 continue
@@ -605,7 +597,6 @@ class EvalService:
             if self.disk is not None:
                 await asyncio.to_thread(self.disk.store, key, result)
             self.oracle.observe(key, cpu)
-            self.stats.simulated += 1
             self.metrics.counter("serve.simulated").inc()
             return "fresh", result, cpu, wall
 
@@ -618,8 +609,6 @@ class EvalService:
         mid-batch never cancels a computation other tenants may be
         waiting on (or would benefit from via the cache).
         """
-        self.stats.batches += 1
-        self.stats.submitted += len(specs)
         self.metrics.counter("serve.batches").inc()
         self.metrics.counter("serve.jobs_submitted").inc(len(specs))
 
@@ -664,7 +653,8 @@ class EvalService:
             "cache_root": str(self.disk.root) if self.disk is not None
             else None,
             "code_fingerprint": code_fingerprint(),
-            "stats": asdict(self.stats),
+            "stats": {key: self.metrics.counter(name).value
+                      for key, name in HEALTH_STATS.items()},
         }
         # Federation fronts report per-worker fleet state.
         worker_states = getattr(self.backend, "worker_states", None)
@@ -883,7 +873,8 @@ class EvalServer:
     def _parse_submit(self, body: bytes) -> Tuple[List[JobSpec], bool]:
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            # RecursionError: nesting too deep for the decoder.
             raise _HttpError(400, f"body is not JSON: {exc}") from exc
         if not isinstance(payload, dict) or "jobs" not in payload:
             raise _HttpError(400, 'body must be {"jobs": [...]}')
@@ -1244,13 +1235,13 @@ __all__ = [
     "CONFIG_FIELDS",
     "EvalServer",
     "EvalService",
+    "HEALTH_STATS",
     "KEEPALIVE_IDLE_SECONDS",
     "MAX_BATCH_JOBS",
     "MAX_BODY_BYTES",
     "ServeClient",
     "ServeError",
     "ServerHandle",
-    "ServiceStats",
     "SpecError",
     "canonical_result_blob",
     "default_backend_name",

@@ -1,8 +1,10 @@
 """The remote backend and the digest-sharded daemon federation.
 
-Three tiers, matching what each failure mode needs:
+Four tiers, matching what each failure mode needs:
 
 * codec/decode tests run with no server at all;
+* the federation's router runs against stub workers, which pin where
+  each job is sent and which failures move it;
 * :class:`~repro.eval.remote.RemoteBackend` tests run against an
   in-thread daemon (cheap, same-process);
 * federation tests run against **subprocess** worker daemons — the
@@ -15,15 +17,16 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import wait as wait_futures
 from pathlib import Path
 
 import pytest
 
 from repro.eval import jobs, models
-from repro.eval.backends import resolve_backend
+from repro.eval.backends import WorkerBackend, resolve_backend
 from repro.eval.jobs import (
     baseline_spec,
     cache_entry_digest,
@@ -31,6 +34,7 @@ from repro.eval.jobs import (
     count_spec,
     fault_spec,
     injection_spec,
+    job_label,
     mode_reference_spec,
     slipstream_spec,
 )
@@ -305,6 +309,177 @@ class TestRemoteBackend:
             assert _digest(result) == _inline_digest(count_spec("jpeg"))
         finally:
             backend.shutdown(wait=True)
+
+
+# ----------------------------------------------------------------------
+# The federation's router against stub workers (no subprocess).
+# ----------------------------------------------------------------------
+
+
+class _StubWorker(WorkerBackend):
+    """Stands in for one worker daemon's RemoteBackend: records every
+    job it is sent and answers it at once, or fails it with
+    ``failure(url, spec)`` when one is set."""
+
+    name = "stub"
+
+    def __init__(self, url, timeout=600.0):
+        super().__init__()
+        self.url = url
+        self.failure = None
+        self.received = []
+        self._running = False
+
+    @property
+    def running(self):
+        return self._running
+
+    def start(self, workers):
+        self._running = True
+        self._workers = 1
+
+    def submit(self, spec, timeout_seconds=None):
+        self.received.append(spec.key)
+        future = Future()
+        if self.failure is not None:
+            future.set_exception(self.failure(self.url, spec))
+        else:
+            future.set_result((self.url, 0.0, 0.0, 0.0, None))
+        return future
+
+    def shutdown(self, wait=False):
+        self._running = False
+        self._workers = 0
+
+
+def _home(spec, fleet_size):
+    return int(cache_entry_digest(spec.key)[:2], 16) % fleet_size
+
+
+def _broken(url, spec):
+    return BrokenExecutor(f"worker {url} failed mid-batch")
+
+
+def _unacked(url, spec):
+    return RemoteProtocolError(f"worker {url} closed the stream")
+
+
+#: 32 specs: homes move with the code fingerprint, and this many keep
+#: every worker of a 3-fleet home to at least two of them.
+_ROUTER_SPECS = [count_spec(b, scale=s)
+                 for b in ("li", "jpeg", "compress", "gcc",
+                           "go", "perl", "m88ksim", "vortex")
+                 for s in (1, 2, 3, 4)]
+
+
+@pytest.fixture
+def stub_fleet(monkeypatch):
+    """build(n, policy) -> (started FederationBackend over n stub
+    workers with an inline local pool, its stubs, its registry)."""
+    started = []
+
+    def build(size, policy=None):
+        stubs = []
+
+        def make(url, timeout=600.0):
+            stubs.append(_StubWorker(url, timeout))
+            return stubs[-1]
+
+        monkeypatch.setattr(remote_mod, "RemoteBackend", make)
+        metrics = MetricsRegistry()
+        fed = FederationBackend([f"stub:{i}" for i in range(size)],
+                                local="inline", policy=policy,
+                                metrics=metrics)
+        fed.start(1)
+        started.append(fed)
+        return fed, stubs, metrics
+
+    yield build
+    for fed in started:
+        fed.shutdown(wait=True)
+
+
+class TestFederationRouter:
+    def test_jobs_land_on_their_digest_home(self, stub_fleet):
+        threads = threading.active_count()
+        fed, stubs, metrics = stub_fleet(3)
+        assert threading.active_count() == threads  # a router, no pumps
+        for spec in _ROUTER_SPECS:
+            result, *_ = fed.submit(spec, None).result(timeout=10)
+            assert result == stubs[_home(spec, 3)].url
+        for index, stub in enumerate(stubs):
+            assert stub.received == [spec.key for spec in _ROUTER_SPECS
+                                     if _home(spec, 3) == index]
+        assert [s["dispatched"] for s in fed.worker_states()] == [
+            len(stub.received) for stub in stubs]
+        snapshot = metrics.snapshot()
+        assert snapshot["federation.jobs_forwarded"] == len(_ROUTER_SPECS)
+        assert snapshot["federation.jobs_migrated"] == 0
+
+    @pytest.mark.parametrize("failure", [_broken, _unacked])
+    def test_unacked_failure_moves_to_next_live_worker(self, stub_fleet,
+                                                       failure):
+        fed, stubs, metrics = stub_fleet(3)
+        spec, again = [s for s in _ROUTER_SPECS if _home(s, 3) == 0][:2]
+        stubs[0].failure = failure
+        result, *_ = fed.submit(spec, None).result(timeout=10)
+        assert result == stubs[1].url  # ring order: 0 -> 1
+        states = fed.worker_states()
+        assert states[0]["alive"] is False
+        assert type(failure("x", spec)).__name__ in states[0]["error"]
+        # The dead home is skipped from now on, not tried again.
+        result, *_ = fed.submit(again, None).result(timeout=10)
+        assert result == stubs[1].url
+        assert stubs[0].received == [spec.key]
+        snapshot = metrics.snapshot()
+        assert snapshot["federation.worker_failures"] == 1
+        assert snapshot["federation.jobs_migrated"] == 1
+        assert snapshot["federation.workers_alive.last"] == 2
+
+    def test_exhausted_migration_budget_names_the_job(self, stub_fleet):
+        fed, stubs, metrics = stub_fleet(3, RetryPolicy(max_retries=1))
+        for stub in stubs:
+            stub.failure = _broken
+        spec = _ROUTER_SPECS[0]
+        with pytest.raises(BrokenExecutor) as excinfo:
+            fed.submit(spec, None).result(timeout=10)
+        assert job_label(spec.key) in str(excinfo.value)
+        assert "exhausted 1 migrations" in str(excinfo.value)
+        # The home plus one move: the third worker and the local pool
+        # never see the job.
+        assert sum(len(stub.received) for stub in stubs) == 2
+        snapshot = metrics.snapshot()
+        assert snapshot["federation.jobs_migrated"] == 1
+        assert snapshot["federation.jobs_local"] == 0
+
+    def test_dead_fleet_moves_the_job_to_local(self, stub_fleet,
+                                               fresh_caches):
+        fed, stubs, metrics = stub_fleet(2, RetryPolicy(max_retries=5))
+        for stub in stubs:
+            stub.failure = _broken
+        spec = count_spec("jpeg")
+        result, *_ = fed.submit(spec, None).result(timeout=60)
+        assert _digest(result) == _inline_digest(spec)
+        snapshot = metrics.snapshot()
+        assert snapshot["federation.jobs_migrated"] == 2
+        assert snapshot["federation.jobs_local"] == 1
+        assert snapshot["federation.workers_alive.last"] == 0
+
+    def test_digest_error_reaches_the_caller_unmoved(self, stub_fleet):
+        fed, stubs, metrics = stub_fleet(3)
+        spec = _ROUTER_SPECS[0]
+        home = stubs[_home(spec, 3)]
+        home.failure = lambda url, spec: WorkerDigestError(
+            worker=url, job=job_label(spec.key), expected="0" * 64,
+            actual="1" * 64)
+        with pytest.raises(WorkerDigestError) as excinfo:
+            fed.submit(spec, None).result(timeout=10)
+        assert excinfo.value.worker == home.url
+        assert [len(stub.received) for stub in stubs].count(1) == 1
+        assert all(s["alive"] for s in fed.worker_states())
+        snapshot = metrics.snapshot()
+        assert snapshot["federation.jobs_migrated"] == 0
+        assert snapshot["federation.worker_failures"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,13 @@ serves every test; assertions use counter deltas, not absolutes.  The
 codec tests run without the server.
 """
 
+import http.client
 import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.slipstream import SlipstreamConfig
 from repro.eval import jobs, models
@@ -23,6 +26,8 @@ from repro.eval.jobs import (
 )
 from repro.eval.models import run_cached
 from repro.eval.serve import (
+    CONFIG_FIELDS,
+    HEALTH_STATS,
     ServeClient,
     ServeError,
     SpecError,
@@ -31,6 +36,7 @@ from repro.eval.serve import (
     start_server_thread,
 )
 from repro.fault.injector import FaultSite
+from repro.workloads.suite import benchmark_suite
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,41 @@ def client(server):
 # ----------------------------------------------------------------------
 # The JSON job codec (no server needed).
 # ----------------------------------------------------------------------
+
+#: Any JSON value: what ``json.loads`` can hand the codec.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=12,
+)
+_JOB_FIELDS = ("scale", "removal_triggers", "points", "sites", "site",
+               "target_seq", "bit", "ecc", "mode", "extra")
+#: Job-shaped objects: real model and benchmark names, every field the
+#: codec knows (plus a stray one) holding an arbitrary JSON value, and
+#: config objects over the whitelisted fields, so the fuzzer reaches
+#: each model's parser instead of stopping at "unknown model".
+_JOB_LIKE = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["count", "ss64", "ss128", "xcheck",
+                                  "ceiling", "cmp", "fault", "finj",
+                                  "nref", "nope"]),
+        "benchmark": st.sampled_from(
+            [b.name for b in benchmark_suite()] + ["nope"]),
+    },
+    optional={
+        **{name: _JSON_VALUES | st.integers(-2, 40)
+           for name in _JOB_FIELDS},
+        "config": st.dictionaries(
+            st.sampled_from(sorted(CONFIG_FIELDS) + ["core"]),
+            _JSON_VALUES | st.integers(-2, 40) | st.sampled_from(
+                ["trace", "pc", "BR"]),
+            max_size=4,
+        ) | _JSON_VALUES,
+    },
+)
 
 
 class TestSpecCodec:
@@ -161,6 +202,17 @@ class TestSpecCodec:
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(SpecError):
             spec_from_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_JSON_VALUES, _JOB_LIKE))
+    def test_any_json_value_decodes_or_is_spec_error(self, payload):
+        """Whatever JSON a tenant sends as a job, the codec answers with
+        a JobSpec or a SpecError (HTTP 400), never another exception."""
+        try:
+            spec = spec_from_json(payload)
+        except SpecError:
+            return
+        assert spec.key.model == payload["model"]
 
 
 # ----------------------------------------------------------------------
@@ -276,13 +328,57 @@ class TestServeAPI:
         assert client.health()["ok"]  # daemon survived
 
     def test_non_json_body_is_400(self, client, server):
-        import http.client
-
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         conn.request("POST", "/v1/submit", body=b"{not json")
         response = conn.getresponse()
         assert response.status == 400
         conn.close()
+
+    def test_deeply_nested_body_is_400(self, client, server):
+        """50k nested lists (~100 KB, far under the body limit) exceed
+        the JSON decoder's recursion depth: a 400, not a 500."""
+        depth = 50_000
+        body = b'{"jobs": ' + b"[" * depth + b"]" * depth + b"}"
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        conn.request("POST", "/v1/submit", body=body)
+        response = conn.getresponse()
+        detail = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert "not JSON" in detail["error"]
+        assert client.health()["ok"]  # daemon survived
+
+    def test_health_stats_are_the_metrics_counters(self, client, server):
+        """After one batch mixing memory, disk, in-flight-dedup and
+        fresh jobs, every /v1/health stat equals its /v1/metrics
+        counter: each event is counted once."""
+        memory = {"model": "count", "benchmark": "li", "scale": 3}
+        disk = {"model": "count", "benchmark": "m88ksim", "scale": 3}
+        fresh = {"model": "count", "benchmark": "vortex", "scale": 3}
+        client.submit_all([memory, disk])
+        models._CACHE.pop(spec_from_json(disk).key)  # disk copy only
+        before = client.health()["stats"]
+        lines = client.submit_all([memory, disk, fresh, fresh])
+        assert sorted(line["source"] for line in lines) == [
+            "disk", "fresh", "inflight", "memory"]
+        stats = client.health()["stats"]
+        metrics = client.metrics()["metrics"]
+        assert {key: stats[key] - before[key] for key in stats} == {
+            "batches": 1, "submitted": 4, "memory_hits": 1, "disk_hits": 1,
+            "deduped": 1, "simulated": 1, "retries": 0, "failures": 0,
+        }
+        assert HEALTH_STATS == {
+            "batches": "serve.batches",
+            "submitted": "serve.jobs_submitted",
+            "memory_hits": "serve.memory_hits",
+            "disk_hits": "serve.disk_hits",
+            "deduped": "serve.dedup_joins",
+            "simulated": "serve.simulated",
+            "retries": "serve.retries",
+            "failures": "serve.failures",
+        }
+        for key, name in HEALTH_STATS.items():
+            assert stats[key] == metrics[name], key
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServeError) as err:
